@@ -327,18 +327,17 @@ int main() {
         }
       } else if (cmd == ".top") {
         long long n = arg.empty() ? 10 : std::atoll(arg.c_str());
-        std::vector<xnfdb::obs::StatementSnapshot> stmts =
-            db.statement_stats().Snapshot();
+        std::vector<xnfdb::obs::StatementRecord> stmts =
+            db.statements().Snapshot();
         std::sort(stmts.begin(), stmts.end(),
                   [](const auto& a, const auto& b) {
                     return a.total_us > b.total_us;
                   });
         std::printf("%-18s %8s %10s %10s  %s\n", "DIGEST", "CALLS",
                     "TOTAL_US", "AVG_US", "SELF scan/join/filter/other + TEXT");
-        for (const xnfdb::obs::StatementSnapshot& s : stmts) {
+        for (const xnfdb::obs::StatementRecord& s : stmts) {
           if (n-- <= 0) break;
-          xnfdb::obs::QueryProfileStore::ClassTotals cls =
-              db.query_profiles().ClassSelfTimes(s.digest);
+          const xnfdb::obs::ClassTotals& cls = s.self;
           std::printf("%-18s %8lld %10lld %10lld  %lld/%lld/%lld/%lld %s\n",
                       s.digest_hex.c_str(), static_cast<long long>(s.calls),
                       static_cast<long long>(s.total_us),

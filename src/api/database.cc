@@ -4,7 +4,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common/crash.h"
@@ -134,7 +136,6 @@ const char* TerminationKeyword(const Status& status) {
 
 Database::Database(Env* env) : env_(env) {
   capture_profiles_ = ParseEnvBool("XNFDB_QUERY_PROFILES", true);
-  capture_feedback_ = ParseEnvBool("XNFDB_PLAN_FEEDBACK", true);
   // Re-resolve the forensics knob with the checked parser: the recorder
   // bootstraps from raw getenv (obs sits below common), so the warn-once
   // diagnostics for a malformed value happen here.
@@ -151,8 +152,7 @@ Database::Database(Env* env) : env_(env) {
   metrics_->GetCounter("writeback.retries");
   metrics_->GetCounter("writeback.failures");
   // The catalog is empty at this point, so name collisions are impossible.
-  Status registered = RegisterSystemViews(&catalog_, metrics_, &statements_,
-                                          &profiles_, &plan_feedback_);
+  Status registered = RegisterSystemViews(&catalog_, metrics_, &statements_);
   (void)registered;
   // SYS$QUERIES, SYS$EVENTS, SYS$HEALTH, SYS$ALERTS, SYS$METRICS_HISTORY
   // and the watchdog are registered / created here rather than in
@@ -239,51 +239,61 @@ ExecOptions Database::WithObs(const ExecOptions& eopts) {
   // While the slow-query log is armed, run in analyze mode so a slow
   // statement's plan (with actuals) is already captured — no re-execution.
   if (slow_query_threshold_us_ >= 0) eo.analyze = true;
-  // XNFDB_QUERY_PROFILES=0 turns the always-on profiler off entirely.
+  // XNFDB_QUERY_PROFILES=0 turns the always-on capture (profile,
+  // cardinality feedback, plan history, rewrite trace) off entirely.
   if (!capture_profiles_) eo.collect_profile = false;
-  // XNFDB_PLAN_FEEDBACK=0 turns cardinality feedback + plan history off.
-  if (!capture_feedback_) eo.collect_feedback = false;
   return eo;
 }
 
-void Database::RecordStatement(const Fingerprint& fp, const char* kind,
-                               const Status& status, int64_t rows,
-                               int64_t total_us, int64_t compile_us,
+void Database::RecordStatement(obs::StatementSample& sample,
+                               const Status& status, int64_t compile_us,
                                int64_t execute_us,
                                const std::vector<std::string>* plan_texts) {
-  statements_.Record(fp.digest, fp.text, kind, status.ok(), rows, total_us);
-  if (slow_query_threshold_us_ < 0) return;
+  sample.ok = status.ok();
   // While armed, the slow-query log also attributes every governor
   // termination — a killed or deadlined statement is exactly the kind of
   // statement the log exists to explain, however briefly it ran.
-  const bool slow = total_us > slow_query_threshold_us_;
   const bool governed = status.IsGovernorTermination();
-  if (!slow && !governed) return;
+  const bool slowlog =
+      slow_query_threshold_us_ >= 0 &&
+      (sample.elapsed_us > slow_query_threshold_us_ || governed);
+  // With capture on, the slow line names the operator whose estimate was
+  // furthest from its actual row count.
+  obs::OpFeedback worst;
+  obs::StatementRecordStore::PlanChange change = statements_.Record(
+      sample, slowlog && capture_profiles_ ? &worst : nullptr);
+  // A materialized view starting or stopping to serve the statement is an
+  // expected flip: it stays in SYS$PLAN_HISTORY but is not a regression.
+  if (change.changed && !change.matview) {
+    metrics_->GetCounter("plan.changes")->Increment();
+    Logger::Default().Log(
+        LogLevel::kWarn, "planchange", "statement plan changed",
+        {LogField::S("digest", obs::DigestHex(sample.digest)),
+         LogField::S("text", sample.text),
+         LogField::S("from_plan", obs::DigestHex(change.from)),
+         LogField::S("to_plan", obs::DigestHex(change.to)),
+         LogField::N("executions", change.executions)});
+  }
+  if (!slowlog) return;
   std::string plan;
   if (plan_texts != nullptr) {
     for (const std::string& p : *plan_texts) plan += p;
   }
   std::vector<LogField> fields{
-      LogField::S("digest", obs::DigestHex(fp.digest)),
-      LogField::S("kind", kind), LogField::S("text", fp.text),
+      LogField::S("digest", obs::DigestHex(sample.digest)),
+      LogField::S("kind", sample.kind), LogField::S("text", sample.text),
       LogField::S("status", status.ok() ? "OK" : status.ToString()),
-      LogField::N("total_us", total_us),
+      LogField::N("total_us", sample.elapsed_us),
       LogField::N("compile_us", compile_us),
-      LogField::N("execute_us", execute_us), LogField::N("rows", rows),
+      LogField::N("execute_us", execute_us), LogField::N("rows", sample.rows),
       LogField::S("plan", plan)};
-  // When cardinality feedback is on, attribute the slowness: name the
-  // operator whose estimate was furthest from its actual row count.
-  if (capture_feedback_) {
-    obs::OpFeedback worst = plan_feedback_.TopMisestimate(fp.digest);
-    if (!worst.op.empty()) {
-      char buf[160];
-      std::snprintf(buf, sizeof(buf), "%s/%s est=%lld actual=%lld q=%.2f",
-                    worst.output.c_str(), worst.op.c_str(),
-                    static_cast<long long>(worst.est_rows + 0.5),
-                    static_cast<long long>(worst.actual_rows),
-                    worst.q_error);
-      fields.push_back(LogField::S("top_misestimate", buf));
-    }
+  if (!worst.op.empty()) {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), "%s/%s est=%lld actual=%lld q=%.2f",
+                  worst.output.c_str(), worst.op.c_str(),
+                  static_cast<long long>(worst.est_rows + 0.5),
+                  static_cast<long long>(worst.actual_rows), worst.q_error);
+    fields.push_back(LogField::S("top_misestimate", buf));
   }
   Logger::Default().Log(
       LogLevel::kWarn, "slowlog",
@@ -293,30 +303,35 @@ void Database::RecordStatement(const Fingerprint& fp, const char* kind,
 
 Status Database::RunTimed(const ast::Statement& stmt, Outcome* outcome) {
   Fingerprint fp = FingerprintStatement(stmt);
+  obs::StatementSample sample;
   int64_t t0 = NowUs();
-  Status status = RunStatement(stmt, outcome);
-  int64_t total_us = NowUs() - t0;
-  int64_t rows = 0;
+  Status status = RunStatement(stmt, outcome, &sample);
+  sample.elapsed_us = NowUs() - t0;
+  sample.digest = fp.digest;
+  sample.text = std::move(fp.text);
+  sample.kind = StatementKindTag(stmt);
   const std::vector<std::string>* plans = nullptr;
   if (outcome->kind == Outcome::Kind::kRows) {
-    rows = outcome->result.stats.rows_output;
+    sample.rows = outcome->result.stats.rows_output;
     plans = &outcome->result.plan_texts;
   } else if (outcome->kind == Outcome::Kind::kAffected) {
-    rows = static_cast<int64_t>(outcome->affected);
+    sample.rows = static_cast<int64_t>(outcome->affected);
   }
-  RecordStatement(fp, StatementKindTag(stmt), status, rows, total_us,
-                  outcome->compile_us, outcome->execute_us, plans);
+  RecordStatement(sample, status, outcome->compile_us, outcome->execute_us,
+                  plans);
   return status;
 }
 
 Result<QueryResult> Database::ExecuteGoverned(CompiledQuery& compiled,
-                                              const ExecOptions& eopts) {
+                                              const ExecOptions& eopts,
+                                              obs::StatementSample* sample) {
   ExecOptions eo = WithObs(eopts);
-  // Capture the compile-side rewrite trace before execution: even a
-  // statement that fails at runtime keeps its rule log in SYS$REWRITES.
-  if (capture_feedback_) {
-    plan_feedback_.RecordCompile(compiled.digest, compiled.normalized_text,
-                                 compiled.rewrite_stats.trace);
+  // The compile-side rewrite trace joins the sample whatever the outcome:
+  // even a statement that fails at runtime keeps its rule log in
+  // SYS$REWRITES.
+  if (eo.collect_profile) {
+    sample->compiled = true;
+    sample->trace = std::move(compiled.rewrite_stats.trace);
   }
   // A caller-supplied context is honoured as-is (its limits are the
   // caller's business); otherwise build one from the per-call knobs,
@@ -357,21 +372,23 @@ Result<QueryResult> Database::ExecuteGoverned(CompiledQuery& compiled,
     return admitted.status();
   }
   const int64_t qid = admitted.value();
-  // Materialized-view plan matching: a fresh materialization of this digest
-  // answers the query from stored rows; otherwise, when the statement's
-  // execution history crosses the capture policy (or a stale/pinned entry
-  // wants a refresh), this execution runs with derivation-count collection
-  // and its result is stored below. Recursive COs never participate.
+  // Materialized-view plan matching, keyed by the literal-keeping exact
+  // digest (one binding's stored answer must never serve another): a fresh
+  // materialization answers the query from stored rows; otherwise, when the
+  // statement shape's execution history crosses the capture policy (or a
+  // stale/pinned entry wants a refresh), this execution runs with
+  // derivation-count collection and its result is stored below. Recursive
+  // COs never participate.
   MatViewStore::ServeHandle mv;
   bool serve = false;
   bool capture = false;
   if (!compiled.needs_fixpoint && compiled.graph != nullptr) {
-    serve = matviews_.TryServe(compiled.digest, &mv);
+    serve = matviews_.TryServe(compiled.exact_digest, &mv);
     if (!serve) {
       int64_t prior_calls = 0, prior_avg_us = 0;
       statements_.Stats(compiled.digest, &prior_calls, &prior_avg_us);
-      capture =
-          matviews_.WantCapture(compiled.digest, prior_calls, prior_avg_us);
+      capture = matviews_.WantCapture(compiled.exact_digest, prior_calls,
+                                      prior_avg_us);
       if (capture) eo.collect_dedup_counts = true;
     }
   }
@@ -386,7 +403,7 @@ Result<QueryResult> Database::ExecuteGoverned(CompiledQuery& compiled,
     // path reads it (EXPLAIN recompiles). A cancelled refresh never gets
     // here, so a mid-refresh kill simply leaves the entry unmaterialized.
     Status stored = matviews_.Store(
-        compiled.digest, compiled.normalized_text, catalog_,
+        compiled.exact_digest, compiled.normalized_text, catalog_,
         std::shared_ptr<qgm::QueryGraph>(std::move(compiled.graph)),
         result.value());
     (void)stored;  // ineligible shapes are counted in matview.rejects
@@ -396,45 +413,33 @@ Result<QueryResult> Database::ExecuteGoverned(CompiledQuery& compiled,
       "query", result.ok() ? "info" : "warn", "query end",
       "digest=" + digest_hex + " status=" +
           (result.ok() ? "ok" : TerminationKeyword(result.status())));
-  // Always-on profile capture: one store write per successful execution
-  // (the fixpoint path has no operator tree, so only the summary fields are
-  // meaningful there).
+  // Always-on capture into the statement's sample (the fixpoint path has no
+  // operator tree, so only the profile's summary fields are meaningful
+  // there, and there is no plan to record).
   if (result.ok() && eo.collect_profile) {
-    obs::QueryProfile& profile = result.value().profile;
+    QueryResult& r = result.value();
+    obs::QueryProfile& profile = r.profile;
     profile.wall_us = NowUs() - exec_t0;
     profile.queue_wait_us = eo.context->queue_wait_us();
     profile.peak_bytes = eo.context->bytes_reserved();
-    profile.rows_out = result.value().stats.rows_output;
-    profiles_.Record(compiled.digest, compiled.normalized_text, profile);
-  }
-  // Plan-quality feedback: join estimates vs actuals and append to the
-  // plan-shape history (the fixpoint path has no operator tree, so there is
-  // nothing to record there).
-  if (result.ok() && eo.collect_feedback && !compiled.needs_fixpoint &&
-      !result.value().plan_shape.empty()) {
-    QueryResult& r = result.value();
-    // Q-error blowup accounting must read the feedback before it is moved
-    // into the store below.
-    double worst_q = 0.0;
-    for (const obs::OpFeedback& f : r.feedback) {
-      if (f.est_rows >= 0 && f.q_error > worst_q) worst_q = f.q_error;
-    }
-    if (worst_q >= static_cast<double>(qerror_alert_)) {
-      qerror_blowups_->Increment();
-    }
-    obs::PlanFeedbackStore::PlanChange change = plan_feedback_.RecordExecution(
-        compiled.digest, compiled.normalized_text, r.plan_hash, r.plan_shape,
-        NowUs() - exec_t0, std::move(r.feedback));
-    r.feedback.clear();
-    if (change.changed) {
-      metrics_->GetCounter("plan.changes")->Increment();
-      Logger::Default().Log(
-          LogLevel::kWarn, "planchange", "statement plan changed",
-          {LogField::S("digest", obs::DigestHex(compiled.digest)),
-           LogField::S("text", compiled.normalized_text),
-           LogField::S("from_plan", obs::DigestHex(change.from)),
-           LogField::S("to_plan", obs::DigestHex(change.to)),
-           LogField::N("executions", change.executions)});
+    profile.rows_out = r.stats.rows_output;
+    sample->profiled = true;
+    sample->profile = profile;
+    if (!compiled.needs_fixpoint && !r.plan_shape.empty()) {
+      double worst_q = 0.0;
+      for (const obs::OpFeedback& f : r.feedback) {
+        if (f.est_rows >= 0 && f.q_error > worst_q) worst_q = f.q_error;
+      }
+      if (worst_q >= static_cast<double>(qerror_alert_)) {
+        qerror_blowups_->Increment();
+      }
+      sample->planned = true;
+      sample->plan_hash = r.plan_hash;
+      sample->plan_shape = r.plan_shape;
+      sample->plan_is_matview = serve;
+      sample->execute_us = profile.wall_us;
+      sample->feedback = std::move(r.feedback);
+      r.feedback.clear();
     }
   }
   return result;
@@ -516,7 +521,7 @@ Result<QueryResult> Database::ServeMatView(
     }
   }
   r.stats.rows_output = rows_emitted;
-  if (eo.collect_feedback) {
+  if (eo.collect_profile) {
     std::string shape;
     for (const std::string& s : shapes) {
       if (!shape.empty()) shape += ";";
@@ -542,10 +547,11 @@ Result<QueryResult> Database::ServeMatView(
 }
 
 Status Database::RunMaterialize(const ast::MaterializeStatement& stmt,
-                                Outcome* outcome) {
-  // Compiling the view by name yields the digest any matching execution
-  // arrives under — the view name, its expanded body, or an equivalent
-  // literal binding all normalize to the same fingerprint.
+                                Outcome* outcome,
+                                obs::StatementSample* sample) {
+  // Compiling the view by name yields the exact digest any matching
+  // execution arrives under — the view name and its expanded body (with the
+  // same literals) share it.
   XNFDB_ASSIGN_OR_RETURN(
       CompiledQuery compiled,
       CompileQueryString(catalog_, stmt.name, WithObs(CompileOptions())));
@@ -555,11 +561,12 @@ Status Database::RunMaterialize(const ast::MaterializeStatement& stmt,
         "store)");
   }
   XNFDB_RETURN_IF_ERROR(
-      matviews_.Pin(stmt.name, compiled.digest, compiled.normalized_text));
+      matviews_.Pin(stmt.name, compiled.exact_digest,
+                    compiled.normalized_text));
   // The stale pinned entry makes WantCapture fire, so this execution's
   // result is stored. Re-MATERIALIZE of a fresh entry serves — idempotent.
   XNFDB_ASSIGN_OR_RETURN(QueryResult result,
-                         ExecuteGoverned(compiled, ExecOptions()));
+                         ExecuteGoverned(compiled, ExecOptions(), sample));
   outcome->kind = Outcome::Kind::kAffected;
   outcome->affected = result.stream.size();
   return Status::Ok();
@@ -687,21 +694,19 @@ Status Database::WriteDiagnosticBundle(const std::string& dir) const {
   }
   {
     std::string profs;
-    size_t n = 0;
-    for (const obs::QueryProfileSnapshot& s : profiles_.Snapshot()) {
-      profs += s.digest_hex + " captures=" + std::to_string(s.captures) +
-               " wall_us=" + std::to_string(s.last.wall_us) +
-               " queue_wait_us=" + std::to_string(s.last.queue_wait_us) +
-               " peak_bytes=" + std::to_string(s.last.peak_bytes) +
-               " rows_out=" + std::to_string(s.last.rows_out) + "\n";
-      ++n;
-    }
-    write_file("profiles.diag", {{"PROFILES", n, std::move(profs)}});
-  }
-  {
     std::string fb;
-    size_t n = 0;
-    for (const obs::PlanFeedbackSnapshot& s : plan_feedback_.Snapshot()) {
+    size_t n_profs = 0;
+    size_t n_fb = 0;
+    for (const obs::StatementRecord& s : statements_.Snapshot()) {
+      if (s.captures > 0) {
+        const obs::QueryProfile& p = s.last_profile;
+        profs += s.digest_hex + " captures=" + std::to_string(s.captures) +
+                 " wall_us=" + std::to_string(p.wall_us) +
+                 " queue_wait_us=" + std::to_string(p.queue_wait_us) +
+                 " peak_bytes=" + std::to_string(p.peak_bytes) +
+                 " rows_out=" + std::to_string(p.rows_out) + "\n";
+        ++n_profs;
+      }
       for (const obs::OpFeedback& w : s.worst) {
         char buf[256];
         std::snprintf(buf, sizeof(buf),
@@ -711,45 +716,51 @@ Status Database::WriteDiagnosticBundle(const std::string& dir) const {
                       static_cast<long long>(w.actual_rows),
                       static_cast<long long>(w.loops), w.q_error);
         fb += buf;
-        ++n;
+        ++n_fb;
       }
     }
-    write_file("plan_feedback.diag", {{"PLAN_FEEDBACK", n, std::move(fb)}});
+    write_file("profiles.diag", {{"PROFILES", n_profs, std::move(profs)}});
+    write_file("plan_feedback.diag", {{"PLAN_FEEDBACK", n_fb, std::move(fb)}});
   }
   {
     // Raw values of every knob plus the resolutions the engine runs with —
     // the first question of any incident review is "what was it configured
     // to do?".
     static const char* const kKnobs[] = {
+        // logging, tracing and forensics
         "XNFDB_LOG_LEVEL", "XNFDB_LOG", "XNFDB_TRACE", "XNFDB_EVENTS",
-        "XNFDB_EVENT_RING", "XNFDB_CRASH_DIR", "XNFDB_QUERY_PROFILES",
-        "XNFDB_PLAN_FEEDBACK", "XNFDB_QERROR_ALERT", "XNFDB_METRICS_SAMPLE_MS",
-        "XNFDB_METRICS_RING", "XNFDB_WATCHDOG_STALL_MS",
-        "XNFDB_WATCHDOG_POLL_MS", "XNFDB_WATCHDOG_CANCEL",
-        "XNFDB_MAX_CONCURRENT_QUERIES", "XNFDB_QUERY_TIMEOUT_MS",
-        "XNFDB_MAX_RESULT_ROWS", "XNFDB_MEM_BUDGET_BYTES"};
+        "XNFDB_EVENT_RING", "XNFDB_CRASH_DIR",
+        // statement record and metrics history
+        "XNFDB_QUERY_PROFILES", "XNFDB_QERROR_ALERT",
+        "XNFDB_METRICS_SAMPLE_MS", "XNFDB_METRICS_RING",
+        // watchdog and governor
+        "XNFDB_WATCHDOG_STALL_MS", "XNFDB_WATCHDOG_POLL_MS",
+        "XNFDB_WATCHDOG_CANCEL", "XNFDB_MAX_CONCURRENT_QUERIES",
+        "XNFDB_QUERY_TIMEOUT_MS", "XNFDB_MAX_RESULT_ROWS",
+        "XNFDB_MEM_BUDGET_BYTES",
+        // batch and morsel execution
+        "XNFDB_BATCH_SIZE", "XNFDB_MORSEL_WORKERS", "XNFDB_MORSEL_ROWS",
+        // materialized views
+        "XNFDB_MATVIEWS", "XNFDB_MATVIEW_AUTO_CALLS", "XNFDB_MATVIEW_AUTO_US",
+        "XNFDB_MATVIEW_MAX", "XNFDB_MATVIEW_MAX_ROWS"};
     std::string envs;
-    size_t n = 0;
     for (const char* knob : kKnobs) {
       const char* raw = std::getenv(knob);
       envs += std::string(knob) + "=" + (raw != nullptr ? raw : "<unset>") +
               "\n";
-      ++n;
     }
-    std::string resolved;
-    resolved += "events_enabled=" +
-                std::to_string(obs::FlightRecorder::Default().enabled()) + "\n";
-    resolved += "event_ring=" +
-                std::to_string(obs::FlightRecorder::Default().capacity()) +
-                "\n";
-    resolved += "crash_dir=" + CrashReportDir() + "\n";
-    resolved +=
-        "capture_profiles=" + std::to_string(capture_profiles_) + "\n";
-    resolved +=
-        "capture_feedback=" + std::to_string(capture_feedback_) + "\n";
-    resolved += "qerror_alert=" + std::to_string(qerror_alert_) + "\n";
-    write_file("env.diag", {{"ENV", n, std::move(envs)},
-                            {"RESOLVED", 6, std::move(resolved)}});
+    const std::vector<std::pair<std::string, std::string>> resolved{
+        {"events_enabled",
+         std::to_string(obs::FlightRecorder::Default().enabled())},
+        {"event_ring",
+         std::to_string(obs::FlightRecorder::Default().capacity())},
+        {"crash_dir", CrashReportDir()},
+        {"capture_profiles", std::to_string(capture_profiles_)},
+        {"qerror_alert", std::to_string(qerror_alert_)}};
+    std::string res;
+    for (const auto& [name, value] : resolved) res += name + "=" + value + "\n";
+    write_file("env.diag", {{"ENV", std::size(kKnobs), std::move(envs)},
+                            {"RESOLVED", resolved.size(), std::move(res)}});
   }
   {
     std::string lines;
@@ -767,14 +778,23 @@ Result<QueryResult> Database::Query(const std::string& text,
   int64_t t0 = NowUs();
   XNFDB_ASSIGN_OR_RETURN(CompiledQuery compiled,
                          CompileQueryString(catalog_, text, WithObs(copts)));
+  return RunCompiledQuery(compiled, eopts, t0);
+}
+
+Result<QueryResult> Database::RunCompiledQuery(CompiledQuery& compiled,
+                                               const ExecOptions& eopts,
+                                               int64_t t0) {
   int64_t t1 = NowUs();
-  Result<QueryResult> result = ExecuteGoverned(compiled, eopts);
+  obs::StatementSample sample;
+  Result<QueryResult> result = ExecuteGoverned(compiled, eopts, &sample);
   int64_t t2 = NowUs();
-  Fingerprint fp{compiled.normalized_text, compiled.digest};
-  RecordStatement(fp, "query",
-                  result.ok() ? Status::Ok() : result.status(),
-                  result.ok() ? int64_t{result.value().stats.rows_output} : 0,
-                  t2 - t0, t1 - t0, t2 - t1,
+  sample.digest = compiled.digest;
+  sample.text = std::move(compiled.normalized_text);
+  sample.kind = "query";
+  sample.rows = result.ok() ? int64_t{result.value().stats.rows_output} : 0;
+  sample.elapsed_us = t2 - t0;
+  RecordStatement(sample, result.ok() ? Status::Ok() : result.status(),
+                  t1 - t0, t2 - t1,
                   result.ok() ? &result.value().plan_texts : nullptr);
   return result;
 }
@@ -802,7 +822,7 @@ Result<std::string> Database::ExplainCompiled(const CompiledQuery& compiled,
   // Matview provenance: a fresh materialization of this digest means the
   // query would not run its join trees at all — show the serve plan.
   MatViewStore::ServeHandle mv;
-  if (matviews_.Peek(compiled.digest, &mv)) {
+  if (matviews_.Peek(compiled.exact_digest, &mv)) {
     out += "matview: " + mv.name + " (fresh, " +
            std::to_string(mv.data->total_rows) + " stored rows)\n";
     ExecStats mv_stats;
@@ -897,19 +917,11 @@ Result<QueryResult> Database::QueryXnf(const ast::XnfQuery& query,
   int64_t t0 = NowUs();
   XNFDB_ASSIGN_OR_RETURN(CompiledQuery compiled,
                          CompileXnf(catalog_, query, WithObs(copts)));
-  int64_t t1 = NowUs();
-  Result<QueryResult> result = ExecuteGoverned(compiled, eopts);
-  int64_t t2 = NowUs();
-  Fingerprint fp{compiled.normalized_text, compiled.digest};
-  RecordStatement(fp, "query",
-                  result.ok() ? Status::Ok() : result.status(),
-                  result.ok() ? int64_t{result.value().stats.rows_output} : 0,
-                  t2 - t0, t1 - t0, t2 - t1,
-                  result.ok() ? &result.value().plan_texts : nullptr);
-  return result;
+  return RunCompiledQuery(compiled, eopts, t0);
 }
 
-Status Database::RunStatement(const ast::Statement& stmt, Outcome* outcome) {
+Status Database::RunStatement(const ast::Statement& stmt, Outcome* outcome,
+                              obs::StatementSample* sample) {
   using Kind = ast::Statement::Kind;
   switch (stmt.kind) {
     case Kind::kSelect: {
@@ -920,7 +932,7 @@ Status Database::RunStatement(const ast::Statement& stmt, Outcome* outcome) {
           CompileSelect(catalog_, *s.select, WithObs(CompileOptions())));
       int64_t t1 = NowUs();
       XNFDB_ASSIGN_OR_RETURN(outcome->result,
-                             ExecuteGoverned(compiled, ExecOptions()));
+                             ExecuteGoverned(compiled, ExecOptions(), sample));
       outcome->compile_us = t1 - t0;
       outcome->execute_us = NowUs() - t1;
       outcome->kind = Outcome::Kind::kRows;
@@ -934,7 +946,7 @@ Status Database::RunStatement(const ast::Statement& stmt, Outcome* outcome) {
           CompileXnf(catalog_, *s.query, WithObs(CompileOptions())));
       int64_t t1 = NowUs();
       XNFDB_ASSIGN_OR_RETURN(outcome->result,
-                             ExecuteGoverned(compiled, ExecOptions()));
+                             ExecuteGoverned(compiled, ExecOptions(), sample));
       outcome->compile_us = t1 - t0;
       outcome->execute_us = NowUs() - t1;
       outcome->kind = Outcome::Kind::kRows;
@@ -988,7 +1000,7 @@ Status Database::RunStatement(const ast::Statement& stmt, Outcome* outcome) {
     }
     case Kind::kMaterialize:
       return RunMaterialize(static_cast<const ast::MaterializeStatement&>(stmt),
-                            outcome);
+                            outcome, sample);
     case Kind::kDematerialize: {
       const auto& s = static_cast<const ast::MaterializeStatement&>(stmt);
       if (!matviews_.Dematerialize(s.name)) {

@@ -10,9 +10,11 @@
 #ifndef XNFDB_API_DATABASE_H_
 #define XNFDB_API_DATABASE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "api/governor.h"
 #include "api/watchdog.h"
@@ -23,10 +25,8 @@
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
-#include "obs/plan_feedback.h"
-#include "obs/query_profile.h"
 #include "obs/sampler.h"
-#include "obs/statement_stats.h"
+#include "obs/statement_record.h"
 #include "obs/trace.h"
 #include "parser/ast.h"
 #include "parser/fingerprint.h"
@@ -119,29 +119,19 @@ class Database {
     return metrics_->ToPrometheusText();
   }
 
-  // Per-statement-shape statistics (the store behind sys$statements):
-  // every Execute/Query/QueryXnf fingerprints its statement and
-  // accumulates calls, errors, rows and latency quantiles per digest.
-  const obs::StatementStore& statement_stats() const { return statements_; }
-  obs::StatementStore& statement_stats() { return statements_; }
-
-  // Always-on per-query profiles (the store behind SYS$QUERY_PROFILES):
-  // every successful query execution captures its per-operator-class
-  // actuals, morsel-worker breakdown, memory high-water and queue wait
-  // under its statement fingerprint. XNFDB_QUERY_PROFILES=0 disables
-  // capture.
-  const obs::QueryProfileStore& query_profiles() const { return profiles_; }
-  obs::QueryProfileStore& query_profiles() { return profiles_; }
-
-  // Plan-quality feedback (the store behind SYS$REWRITES, SYS$PLAN_FEEDBACK
-  // and SYS$PLAN_HISTORY): every compile captures the statement's ordered
-  // rewrite-rule trace, and every successful execution joins the planner's
-  // cardinality estimates against the operators' actuals (worst q-error
-  // offenders per statement) and appends to the plan-shape history. A plan
-  // flip emits one structured warn line on the "planchange" channel and
-  // bumps the plan.changes counter. XNFDB_PLAN_FEEDBACK=0 disables capture.
-  const obs::PlanFeedbackStore& plan_feedback() const { return plan_feedback_; }
-  obs::PlanFeedbackStore& plan_feedback() { return plan_feedback_; }
+  // The per-statement record (obs/statement_record.h), the one stored
+  // relation behind SYS$STATEMENTS, SYS$QUERY_PROFILES, SYS$REWRITES,
+  // SYS$PLAN_FEEDBACK and SYS$PLAN_HISTORY. Every Execute/Query/QueryXnf
+  // fingerprints its statement and writes one sample at statement end:
+  // calls, errors, rows and latency per digest always; with capture on
+  // (XNFDB_QUERY_PROFILES, default 1) also the compile's rewrite-rule trace
+  // (kept when the statement fails at runtime), the execution profile, the
+  // worst q-error operators and the plan-shape history. A plan flip emits
+  // one structured warn line on the "planchange" channel and bumps the
+  // plan.changes counter — unless either side was a materialized-view
+  // serve, an expected flip that is only recorded in the history.
+  const obs::StatementRecordStore& statements() const { return statements_; }
+  obs::StatementRecordStore& statements() { return statements_; }
 
   // The metrics time-series sampler behind SYS$METRICS_HISTORY. Its
   // background thread starts when XNFDB_METRICS_SAMPLE_MS > 0 (ring size
@@ -201,10 +191,14 @@ class Database {
   // Every Execute/Query counts one server call; per-tuple cursor fetches
   // (see FetchAll) count one call per tuple, modelling the traditional
   // "one tuple at a time" interface.
-  int64_t server_calls() const { return server_calls_; }
-  void ResetServerCalls() { server_calls_ = 0; }
+  // Relaxed atomics: the count is a tally, not a synchronization point, and
+  // concurrent queries (and Cancel callers) may bump it from any thread.
+  int64_t server_calls() const {
+    return server_calls_.load(std::memory_order_relaxed);
+  }
+  void ResetServerCalls() { server_calls_.store(0, std::memory_order_relaxed); }
   void CountServerCall(int64_t n = 1) {
-    server_calls_ += n;
+    server_calls_.fetch_add(n, std::memory_order_relaxed);
     server_calls_counter_->Increment(n);
   }
 
@@ -235,15 +229,22 @@ class Database {
   Status Cancel(int64_t query_id) { return governor_.Cancel(query_id); }
 
  private:
-  // RunStatement plus statement-stats recording and slow-query logging.
+  // RunStatement plus statement recording and slow-query logging.
   Status RunTimed(const ast::Statement& stmt, Outcome* outcome);
-  Status RunStatement(const ast::Statement& stmt, Outcome* outcome);
-  // Accumulates one execution into `statements_` and emits the slow-query
-  // log line when armed and exceeded — or, regardless of speed, when the
-  // governor terminated the statement (kill/deadline/budget attribution).
-  // `plan_texts` may be null.
-  void RecordStatement(const Fingerprint& fp, const char* kind,
-                       const Status& status, int64_t rows, int64_t total_us,
+  // Runs one parsed statement; a query's compile trace and execution
+  // capture land in `sample`.
+  Status RunStatement(const ast::Statement& stmt, Outcome* outcome,
+                      obs::StatementSample* sample);
+  // Query/QueryXnf after compilation: executes, then records the statement.
+  // `t0` is the statement's start (before compilation).
+  Result<QueryResult> RunCompiledQuery(CompiledQuery& compiled,
+                                       const ExecOptions& eopts, int64_t t0);
+  // Writes the finished statement's sample into `statements_` (the one
+  // store write per statement), warns on an unexpected plan flip, and
+  // emits the slow-query log line when armed and exceeded — or, regardless
+  // of speed, when the governor terminated the statement
+  // (kill/deadline/budget attribution). `plan_texts` may be null.
+  void RecordStatement(obs::StatementSample& sample, const Status& status,
                        int64_t compile_us, int64_t execute_us,
                        const std::vector<std::string>* plan_texts);
   // Renders the plain-EXPLAIN body (rewrite summary, operation counts, and
@@ -252,12 +253,15 @@ class Database {
                                       const ExecOptions& eopts);
   // Runs a compiled query under governance: builds the QueryContext (limits
   // from `eopts` falling back to governor defaults), admits, executes via
-  // the fixpoint or graph path, and releases.
-  // Non-const `compiled`: when this execution is captured as a
-  // materialization, the compiled graph moves into the matview store (for
-  // delta re-planning) instead of being cloned.
+  // the fixpoint or graph path, and releases. With capture on, the compile's
+  // rewrite trace and the execution's profile, plan and feedback go into
+  // `sample` for the statement's record.
+  // Non-const `compiled`: the trace moves into `sample`, and when this
+  // execution is captured as a materialization, the compiled graph moves
+  // into the matview store (for delta re-planning) instead of being cloned.
   Result<QueryResult> ExecuteGoverned(CompiledQuery& compiled,
-                                      const ExecOptions& eopts);
+                                      const ExecOptions& eopts,
+                                      obs::StatementSample* sample);
   // Builds the QueryResult of a matview serve: MatViewScanOps over the
   // stored component streams, connections emitted from stored partner-tid
   // tuples, stats/plan-shape/feedback/profile filled as a real execution.
@@ -265,7 +269,7 @@ class Database {
                                    const MatViewStore::ServeHandle& handle,
                                    const ExecOptions& eo);
   Status RunMaterialize(const ast::MaterializeStatement& stmt,
-                        Outcome* outcome);
+                        Outcome* outcome, obs::StatementSample* sample);
   Status RunCreateTable(const ast::CreateTableStatement& stmt);
   Status RunInsert(const ast::InsertStatement& stmt, Outcome* outcome);
   Status RunUpdate(const ast::UpdateStatement& stmt, Outcome* outcome);
@@ -277,14 +281,11 @@ class Database {
 
   Catalog catalog_;
   Env* env_;
-  int64_t server_calls_ = 0;
+  std::atomic<int64_t> server_calls_{0};
   int transient_failures_ = 0;
   int64_t slow_query_threshold_us_ = -1;
-  obs::StatementStore statements_{512};
-  obs::QueryProfileStore profiles_{256};
+  obs::StatementRecordStore statements_{512};
   bool capture_profiles_ = true;  // XNFDB_QUERY_PROFILES != 0
-  obs::PlanFeedbackStore plan_feedback_{256};
-  bool capture_feedback_ = true;  // XNFDB_PLAN_FEEDBACK != 0
   obs::Tracer tracer_{obs::Tracer::FromEnv{}};
   obs::MetricsRegistry* metrics_ = &obs::MetricsRegistry::Default();
   obs::Counter* server_calls_counter_ = metrics_->GetCounter("server.calls");

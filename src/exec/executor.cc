@@ -11,33 +11,9 @@
 #include <unordered_map>
 
 #include "common/str_util.h"
+#include "obs/phase.h"
 
 namespace xnfdb {
-
-namespace {
-
-// Observes the elapsed microseconds since `t0` into `metrics[name]`; no-op
-// without a registry.
-class PhaseTimer {
- public:
-  PhaseTimer(obs::MetricsRegistry* metrics, const char* name)
-      : metrics_(metrics), name_(name),
-        t0_(std::chrono::steady_clock::now()) {}
-  ~PhaseTimer() {
-    if (metrics_ == nullptr) return;
-    int64_t us = std::chrono::duration_cast<std::chrono::microseconds>(
-                     std::chrono::steady_clock::now() - t0_)
-                     .count();
-    metrics_->GetHistogram(name_)->Observe(us);
-  }
-
- private:
-  obs::MetricsRegistry* metrics_;
-  const char* name_;
-  std::chrono::steady_clock::time_point t0_;
-};
-
-}  // namespace
 
 int QueryResult::FindOutput(const std::string& name) const {
   for (size_t i = 0; i < outputs.size(); ++i) {
@@ -135,18 +111,40 @@ Status PullRows(Operator* op, int batch_size, StatCounter* batches_emitted,
   return Status::Ok();
 }
 
-// Adds one finished operator tree's actuals into `agg`, keyed by operator
-// class (Kind). Inclusive time is the node's own measurement; self time
-// subtracts the children's inclusive time, clamped at zero.
-void AccumulateTree(Operator* op, std::map<std::string, obs::OpProfile>* agg) {
+// One operator's estimate and summed actuals. An output's slots are
+// indexed by pre-order position, so morsel clones of one plan merge into
+// the same slots.
+struct FeedbackSlot {
+  const char* op = nullptr;
+  double est = -1.0;
+  int64_t rows = 0;
+  int64_t loops = 0;
+};
+
+// Folds one finished operator tree into the profile and the cardinality
+// feedback in a single walk: `ops` aggregates by operator class (inclusive
+// time is the node's own measurement; self time subtracts the children's
+// inclusive time, clamped at zero), `slots` by pre-order position `*pos`.
+void FoldTree(Operator* op, size_t* pos,
+              std::map<std::string, obs::OpProfile>* ops,
+              std::vector<FeedbackSlot>* slots) {
   const Operator::Actuals& a = op->actuals();
+  if (slots->size() <= *pos) slots->resize(*pos + 1);
+  FeedbackSlot& slot = (*slots)[(*pos)++];
+  if (slot.op == nullptr) {
+    slot.op = op->Kind();
+    slot.est = op->estimated_rows();
+  }
+  slot.rows += a.rows;
+  slot.loops += a.loops;
+  // `slot` is not touched past this point: the recursion may grow `slots`.
   int64_t child_ns = 0;
   for (Operator* c : op->Children()) {
     child_ns += c->actuals().ns;
-    AccumulateTree(c, agg);
+    FoldTree(c, pos, ops, slots);
   }
-  obs::OpProfile& p = (*agg)[op->Kind()];
-  p.op = op->Kind();
+  obs::OpProfile& p = (*ops)[op->Kind()];
+  if (p.op.empty()) p.op = op->Kind();
   p.loops += a.loops;
   p.rows += a.rows;
   p.batches += a.batches;
@@ -255,55 +253,31 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
   std::vector<std::vector<StreamItem>> buffers(n_outputs);
   std::vector<std::string> plan_texts(n_outputs);
 
-  // Always-on profile accumulation. Output passes and morsel workers all
-  // merge their finished trees here, so the aggregation is mutex-guarded;
-  // it runs once per finished plan, never per row.
+  // Always-on profile and cardinality-feedback accumulation. Output passes
+  // and morsel workers all fold their finished trees here, so it is
+  // mutex-guarded; it runs once per finished plan, never per row. Caveat:
+  // under morsel execution feedback rows and loops both sum across clones,
+  // so a morsel-split driver scan reports its per-clone (not total) rows
+  // per loop; with the default single worker the numbers are exact.
   const bool collect_profile = options.collect_profile;
   std::mutex profile_mu;
   std::map<std::string, obs::OpProfile> profile_ops;
   std::map<int64_t, obs::WorkerProfile> profile_workers;  // by worker id
-
-  // Cardinality-feedback accumulation, keyed by (output index, pre-order
-  // position) so morsel clones of one plan merge into the same slots. Like
-  // the profile, one tree walk per finished plan — never per row. Caveat:
-  // under morsel execution rows and loops both sum across clones, so a
-  // morsel-split driver scan reports its per-clone (not total) rows per
-  // loop; with the default single worker the numbers are exact.
-  const bool collect_feedback = options.collect_feedback;
-  struct FeedbackSlot {
-    std::string op;
-    double est = -1.0;
-    int64_t rows = 0;
-    int64_t loops = 0;
-  };
-  std::map<std::pair<int, int>, FeedbackSlot> feedback_slots;
+  std::vector<std::vector<FeedbackSlot>> feedback_slots(n_outputs);
   std::vector<std::string> shapes(n_outputs);
-  std::function<void(int, int*, Operator*)> feedback_walk =
-      [&](int oi, int* idx, Operator* op) {
-        FeedbackSlot& slot = feedback_slots[{oi, (*idx)++}];
-        if (slot.op.empty()) {
-          slot.op = op->Kind();
-          slot.est = op->estimated_rows();
-        }
-        slot.rows += op->actuals().rows;
-        slot.loops += op->actuals().loops;
-        for (Operator* c : op->Children()) feedback_walk(oi, idx, c);
-      };
-  auto record_feedback = [&](int oi, Operator* root) {
-    if (!collect_feedback) return;
-    std::lock_guard<std::mutex> lock(profile_mu);
-    int idx = 0;
-    feedback_walk(oi, &idx, root);
-  };
   auto capture_shape = [&](int oi, const qgm::TopOutput& out, Operator* op) {
-    if (!collect_feedback) return;
+    if (!collect_profile) return;
     shapes[oi] = out.name + "=" + PlanShapeText(op);
   };
-
-  auto record_tree = [&](Operator* op) {
+  // Requires profile_mu.
+  auto fold_tree_locked = [&](int oi, Operator* root) {
+    size_t pos = 0;
+    FoldTree(root, &pos, &profile_ops, &feedback_slots[oi]);
+  };
+  auto fold_tree = [&](int oi, Operator* root) {
     if (!collect_profile) return;
     std::lock_guard<std::mutex> lock(profile_mu);
-    AccumulateTree(op, &profile_ops);
+    fold_tree_locked(oi, root);
   };
 
   // Renders the annotated plan tree of one finished output (analyze mode).
@@ -403,14 +377,13 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
                               std::chrono::steady_clock::now() - w0)
                               .count();
         std::lock_guard<std::mutex> lock(profile_mu);
-        AccumulateTree(plan, &profile_ops);
+        fold_tree_locked(oi, plan);
         obs::WorkerProfile& wp = profile_workers[static_cast<int64_t>(w)];
         wp.worker = static_cast<int64_t>(w);
         wp.rows += worker_rows;
         wp.morsels += driver->claimed_morsels();
         wp.wall_us += wall_us;
       }
-      record_feedback(oi, plan);
       return Status::Ok();
     };
     std::vector<std::thread> threads;
@@ -451,7 +424,8 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
         }
         OperatorPtr op;
         {
-          PhaseTimer timer(options.metrics, "phase.plan.us");
+          // Null tracer: the per-output spans are opened separately.
+          obs::PhaseScope phase(nullptr, options.metrics, "plan");
           XNFDB_ASSIGN_OR_RETURN(op, planner.BoxIterator(out.box_id));
         }
         if (collect_profile) op->EnableProfile();
@@ -461,7 +435,7 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
         if (options.tracer != nullptr) {
           exec_span = options.tracer->StartSpan("execute " + out.name);
         }
-        PhaseTimer timer(options.metrics, "phase.execute.us");
+        obs::PhaseScope phase(nullptr, options.metrics, "execute");
         if (morsel_workers > 1) {
           // Intra-plan parallelism: only a plain scan pipeline qualifies
           // (a pipeline breaker or non-scan source returns null).
@@ -481,8 +455,7 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
             }));
         op->Close();
         capture_plan(oi, out, op.get());
-        record_tree(op.get());
-        record_feedback(oi, op.get());
+        fold_tree(oi, op.get());
         return Status::Ok();
       }));
 
@@ -497,12 +470,12 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
         }
         OperatorPtr op;
         {
-          PhaseTimer timer(options.metrics, "phase.plan.us");
+          obs::PhaseScope phase(nullptr, options.metrics, "plan");
           XNFDB_ASSIGN_OR_RETURN(op, planner.BoxIterator(out.box_id));
         }
         if (collect_profile) op->EnableProfile();
         capture_shape(oi, out, op.get());
-        PhaseTimer timer(options.metrics, "phase.execute.us");
+        obs::PhaseScope phase(nullptr, options.metrics, "execute");
         XNFDB_RETURN_IF_ERROR(op->Open());
         std::set<std::vector<TupleId>> seen;
         std::map<std::vector<TupleId>, int64_t>* counts =
@@ -546,8 +519,7 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
             }));
         op->Close();
         capture_plan(oi, out, op.get());
-        record_tree(op.get());
-        record_feedback(oi, op.get());
+        fold_tree(oi, op.get());
         return Status::Ok();
       }));
 
@@ -563,37 +535,32 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
       result.profile.workers.push_back(wp);
     }
     result.profile.rows_out = run_stats.rows_output;
-  }
-  if (collect_feedback) {
     for (const std::string& s : shapes) {
       if (s.empty()) continue;
       if (!result.plan_shape.empty()) result.plan_shape += ";";
       result.plan_shape += s;
     }
     result.plan_hash = PlanShapeHash(result.plan_shape);
-    result.feedback.reserve(feedback_slots.size());
-    for (const auto& [key, slot] : feedback_slots) {
-      obs::OpFeedback f;
-      f.output = top->outputs[key.first].name;
-      f.op = slot.op;
-      f.est_rows = slot.est;
-      f.actual_rows = slot.rows;
-      f.loops = slot.loops;
-      const double per_loop = static_cast<double>(slot.rows) /
-                              static_cast<double>(std::max<int64_t>(
-                                  slot.loops, 1));
-      f.q_error = slot.est >= 0 ? obs::QError(slot.est, per_loop) : 0.0;
-      result.feedback.push_back(std::move(f));
+    for (int oi = 0; oi < n_outputs; ++oi) {
+      for (const FeedbackSlot& slot : feedback_slots[oi]) {
+        obs::OpFeedback f;
+        f.output = top->outputs[oi].name;
+        f.op = slot.op;
+        f.est_rows = slot.est;
+        f.actual_rows = slot.rows;
+        f.loops = slot.loops;
+        const double per_loop = static_cast<double>(slot.rows) /
+                                static_cast<double>(std::max<int64_t>(
+                                    slot.loops, 1));
+        f.q_error = slot.est >= 0 ? obs::QError(slot.est, per_loop) : 0.0;
+        result.feedback.push_back(std::move(f));
+      }
     }
   }
 
   // Merge the per-output buffers into one stream, in output order (a
   // deterministic interleaving; the paper allows any, Sect. 5.1).
-  obs::Span deliver_span;
-  if (options.tracer != nullptr) {
-    deliver_span = options.tracer->StartSpan("deliver");
-  }
-  PhaseTimer deliver_timer(options.metrics, "phase.deliver.us");
+  obs::PhaseScope deliver_phase(options.tracer, options.metrics, "deliver");
   size_t total = 0;
   for (const auto& b : buffers) total += b.size();
   result.stream.reserve(total);

@@ -22,8 +22,7 @@
 #include "exec/operators.h"
 #include "exec/query_context.h"
 #include "obs/metrics.h"
-#include "obs/plan_feedback.h"
-#include "obs/query_profile.h"
+#include "obs/statement_record.h"
 #include "obs/trace.h"
 #include "optimizer/planner.h"
 #include "qgm/qgm.h"
@@ -66,13 +65,13 @@ struct QueryResult {
   // Always-on execution profile (ExecOptions::collect_profile): per-operator
   // -class totals aggregated over every output's finished plan tree, plus
   // the morsel-worker breakdown. The executor fills ops/workers/rows_out;
-  // the Database adds wall time, queue wait and the memory high-water before
-  // capturing it into its QueryProfileStore.
+  // the Database adds wall time, queue wait and the memory high-water.
   obs::QueryProfile profile;
-  // Plan-quality feedback (ExecOptions::collect_feedback): the canonical
+  // Plan-quality feedback (also ExecOptions::collect_profile): the canonical
   // plan-shape text over every output ("NAME=op(op(scan:T));..."), its hash,
   // and the per-operator estimated-vs-actual comparison. The Database folds
-  // these into its PlanFeedbackStore (SYS$PLAN_FEEDBACK / SYS$PLAN_HISTORY).
+  // profile and feedback into the statement's record
+  // (obs/statement_record.h).
   uint64_t plan_hash = 0;
   std::string plan_shape;
   std::vector<obs::OpFeedback> feedback;
@@ -117,15 +116,13 @@ struct ExecOptions {
   // EXPLAIN ANALYZE: instrument operators with wall-time measurement and
   // fill QueryResult::plan_texts with annotated plan trees.
   bool analyze = false;
-  // Always-on profiling: aggregate every finished plan tree's actuals into
-  // QueryResult::profile, with batch-granularity wall time (Open/NextBatch
-  // only — the per-row Next path is never timed). Cheap enough to leave on;
-  // XNFDB_QUERY_PROFILES=0 turns it off via Database.
+  // Always-on profiling: one walk per finished plan tree folds its actuals
+  // into QueryResult::profile (batch-granularity wall time: Open/NextBatch
+  // only — the per-row Next path is never timed) and its estimated-vs-actual
+  // rows into QueryResult::feedback, and the plan shape is hashed into
+  // plan_hash/plan_shape. Cheap enough to leave on; XNFDB_QUERY_PROFILES=0
+  // turns it off via Database.
   bool collect_profile = true;
-  // Cardinality feedback + plan-shape hashing: fill QueryResult::plan_hash,
-  // plan_shape and feedback at query end (one tree walk per finished plan,
-  // no per-row work). XNFDB_PLAN_FEEDBACK=0 turns it off via Database.
-  bool collect_feedback = true;
   // Fill QueryResult::component_counts / connection_counts with pre-dedup
   // derivation counts. Off by default (one map bump per produced row); the
   // Database enables it only on executions whose result it is about to

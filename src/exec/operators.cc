@@ -7,7 +7,7 @@
 #include <sstream>
 
 #include "obs/metrics.h"
-#include "obs/plan_feedback.h"
+#include "obs/statement_record.h"
 #include "storage/sysview.h"
 
 namespace xnfdb {

@@ -161,7 +161,7 @@ class Operator {
   // The planner's estimated output cardinality for this operator (rows per
   // loop), stamped at plan build time; < 0 when no estimate was provided.
   // EXPLAIN prints it and the executor joins it against actuals for the
-  // cardinality-feedback store (SYS$PLAN_FEEDBACK).
+  // statement record's cardinality feedback (SYS$PLAN_FEEDBACK).
   void SetEstimatedRows(double est) { est_rows_ = est; }
   double estimated_rows() const { return est_rows_; }
 

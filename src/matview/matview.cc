@@ -9,7 +9,7 @@
 #include "common/str_util.h"
 #include "exec/query_context.h"
 #include "obs/flight_recorder.h"
-#include "obs/statement_stats.h"
+#include "obs/statement_record.h"
 #include "optimizer/planner.h"
 
 namespace xnfdb {

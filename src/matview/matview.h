@@ -21,7 +21,7 @@
 // execution recomputes and re-stores it (counted in matview.full_refreshes,
 // fallbacks in matview.fallbacks).
 //
-// Caveat (documented in DESIGN.md §15): after delta maintenance the stored
+// Caveat (documented in DESIGN.md §14): after delta maintenance the stored
 // answer equals a scratch recompute up to tuple-id isomorphism — deleted
 // component rows leave tid gaps, and rows added later take fresh ids, so
 // tids differ from a fresh execution while contents and the component↔
@@ -110,10 +110,11 @@ struct MatViewInfo {
   int64_t refreshed_us = 0;
 };
 
-// The store. Thread-safe (one mutex); entries are keyed by statement
-// digest (parser/fingerprint.h), so any compiled query whose normalized
-// text matches a materialized shape is served, whether it arrived as the
-// view name, the expanded body, or an equivalent literal binding.
+// The store. Thread-safe (one mutex); entries are keyed by the statement's
+// exact digest (parser/fingerprint.h: the shape digest extended over the
+// literal values), so a compiled query is served when it matches a
+// materialization's shape *and* literals, whether it arrived as the view
+// name or the expanded body — never one binding's answer for another's.
 class MatViewStore {
  public:
   struct ServeHandle {
@@ -141,7 +142,8 @@ class MatViewStore {
   // Policy: should the Database capture (collect_dedup_counts + Store) the
   // execution about to run? True for a known-but-stale entry (refresh, also
   // the pinned case) or when the auto thresholds are met. `prior_calls` /
-  // `prior_avg_us` come from StatementStore::Stats for the digest.
+  // `prior_avg_us` are the statement shape's history
+  // (StatementRecordStore::Stats on the shape digest).
   bool WantCapture(uint64_t digest, int64_t prior_calls,
                    int64_t prior_avg_us) const;
 

@@ -1,5 +1,7 @@
 #include "parser/fingerprint.h"
 
+#include <cstdio>
+
 #include "common/str_util.h"
 
 namespace xnfdb {
@@ -10,27 +12,56 @@ using ast::Expr;
 using ast::SelectStmt;
 using ast::TableRef;
 
-std::string NormExpr(const Expr& e);
-std::string NormSelect(const SelectStmt& s);
+// One normalization pass over a statement: renders its shape text (every
+// literal as `?`) and, alongside, the literal values it replaced, in visit
+// order — so the literal-keeping digest costs no second walk.
+class Normalizer {
+ public:
+  std::string NormExpr(const Expr& e);
+  std::string NormSelect(const SelectStmt& s);
+  std::string NormTableRef(const TableRef& t);
+  std::string NormXnf(const ast::XnfQuery& q);
+  std::string NormStatement(const ast::Statement& stmt);
 
-std::string NormTableRef(const TableRef& t) {
+  // Length-prefixed renderings of the replaced literals.
+  std::string literals;
+
+ private:
+  // Records one replaced literal and returns its placeholder.
+  std::string Literal(const std::string& rendered) {
+    literals += std::to_string(rendered.size()) + ":" + rendered;
+    return "?";
+  }
+  std::string Literal(const Value& v) {
+    if (v.type() != DataType::kDouble) return Literal(v.ToString());
+    // Full precision: Value::ToString rounds doubles to 6 digits.
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "d%.17g", v.AsDouble());
+    return Literal(std::string(buf));
+  }
+};
+
+std::string Normalizer::NormTableRef(const TableRef& t) {
   std::string p = t.subquery ? "(" + NormSelect(*t.subquery) + ")" : t.table;
   if (!t.alias.empty()) p += " " + t.alias;
   return p;
 }
 
-std::string NormExpr(const Expr& e) {
+std::string Normalizer::NormExpr(const Expr& e) {
   switch (e.kind) {
     case Expr::Kind::kLiteral:
-      return "?";
+      return Literal(static_cast<const ast::Literal&>(e).value);
     case Expr::Kind::kColumnRef: {
       const auto& c = static_cast<const ast::ColumnRef&>(e);
       return c.qualifier.empty() ? c.column : c.qualifier + "." + c.column;
     }
     case Expr::Kind::kBinary: {
       const auto& b = static_cast<const ast::Binary&>(e);
-      return "(" + NormExpr(*b.lhs) + " " + b.op + " " + NormExpr(*b.rhs) +
-             ")";
+      // Operands are rendered in separate statements: literal visit order
+      // must be defined, not left to operator+ evaluation order.
+      std::string lhs = NormExpr(*b.lhs);
+      std::string rhs = NormExpr(*b.rhs);
+      return "(" + lhs + " " + b.op + " " + rhs + ")";
     }
     case Expr::Kind::kUnary: {
       const auto& u = static_cast<const ast::Unary&>(e);
@@ -42,13 +73,16 @@ std::string NormExpr(const Expr& e) {
     }
     case Expr::Kind::kInSubquery: {
       const auto& in = static_cast<const ast::InSubquery&>(e);
-      return NormExpr(*in.operand) + (in.negated ? " NOT IN (" : " IN (") +
+      std::string operand = NormExpr(*in.operand);
+      return operand + (in.negated ? " NOT IN (" : " IN (") +
              NormSelect(*in.subquery) + ")";
     }
     case Expr::Kind::kLike: {
       const auto& l = static_cast<const ast::Like&>(e);
       // The pattern is a constant: normalize like any other literal.
-      return NormExpr(*l.operand) + (l.negated ? " NOT LIKE ?" : " LIKE ?");
+      std::string operand = NormExpr(*l.operand);
+      return operand + (l.negated ? " NOT LIKE " : " LIKE ") +
+             Literal("'" + l.pattern + "'");
     }
     case Expr::Kind::kFuncCall: {
       const auto& f = static_cast<const ast::FuncCall&>(e);
@@ -64,7 +98,7 @@ std::string NormExpr(const Expr& e) {
   return "?";
 }
 
-std::string NormSelect(const SelectStmt& s) {
+std::string Normalizer::NormSelect(const SelectStmt& s) {
   std::string out = "SELECT ";
   if (s.distinct) out += "DISTINCT ";
   std::vector<std::string> parts;
@@ -101,8 +135,8 @@ std::string NormSelect(const SelectStmt& s) {
   }
   // LIMIT/OFFSET constants are normalized like literals: paging through a
   // result set is one shape, not one per page.
-  if (s.limit >= 0) out += " LIMIT ?";
-  if (s.offset > 0) out += " OFFSET ?";
+  if (s.limit >= 0) out += " LIMIT " + Literal(std::to_string(s.limit));
+  if (s.offset > 0) out += " OFFSET " + Literal(std::to_string(s.offset));
   if (s.union_next) {
     out += s.union_all ? " UNION ALL " : " UNION ";
     out += NormSelect(*s.union_next);
@@ -110,7 +144,7 @@ std::string NormSelect(const SelectStmt& s) {
   return out;
 }
 
-std::string NormXnf(const ast::XnfQuery& q) {
+std::string Normalizer::NormXnf(const ast::XnfQuery& q) {
   std::string out = "OUT OF ";
   std::vector<std::string> parts;
   for (const ast::XnfDef& def : q.defs) {
@@ -155,7 +189,7 @@ std::string NormXnf(const ast::XnfQuery& q) {
   return out;
 }
 
-std::string NormStatement(const ast::Statement& stmt) {
+std::string Normalizer::NormStatement(const ast::Statement& stmt) {
   using Kind = ast::Statement::Kind;
   switch (stmt.kind) {
     case Kind::kSelect:
@@ -225,17 +259,7 @@ std::string NormStatement(const ast::Statement& stmt) {
   return "?";
 }
 
-Fingerprint Finish(std::string text) {
-  Fingerprint fp;
-  fp.digest = FingerprintHash(text);
-  fp.text = std::move(text);
-  return fp;
-}
-
-}  // namespace
-
-uint64_t FingerprintHash(const std::string& s) {
-  uint64_t h = 14695981039346656037ull;  // FNV-1a 64-bit offset basis
+uint64_t FnvExtend(uint64_t h, const std::string& s) {
   for (char c : s) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ull;
@@ -243,16 +267,40 @@ uint64_t FingerprintHash(const std::string& s) {
   return h;
 }
 
+Fingerprint Finish(std::string text, const Normalizer& norm) {
+  Fingerprint fp;
+  fp.digest = FingerprintHash(text);
+  // The exact digest continues the same hash over a separator and the
+  // literals, so a literal-free statement has exact_digest == digest.
+  fp.exact_digest = norm.literals.empty()
+                        ? fp.digest
+                        : FnvExtend(fp.digest, "\x1e" + norm.literals);
+  fp.text = std::move(text);
+  return fp;
+}
+
+}  // namespace
+
+uint64_t FingerprintHash(const std::string& s) {
+  return FnvExtend(14695981039346656037ull, s);  // FNV-1a 64-bit basis
+}
+
 Fingerprint FingerprintSelect(const ast::SelectStmt& select) {
-  return Finish(NormSelect(select));
+  Normalizer norm;
+  std::string text = norm.NormSelect(select);
+  return Finish(std::move(text), norm);
 }
 
 Fingerprint FingerprintXnf(const ast::XnfQuery& query) {
-  return Finish(NormXnf(query));
+  Normalizer norm;
+  std::string text = norm.NormXnf(query);
+  return Finish(std::move(text), norm);
 }
 
 Fingerprint FingerprintStatement(const ast::Statement& stmt) {
-  return Finish(NormStatement(stmt));
+  Normalizer norm;
+  std::string text = norm.NormStatement(stmt);
+  return Finish(std::move(text), norm);
 }
 
 }  // namespace xnfdb

@@ -8,8 +8,11 @@
 // Multi-row INSERTs are collapsed to a single `(?, ...)` values row so a
 // bulk load does not fan out into one shape per batch size.
 //
-// The digest keys the per-statement statistics store
-// (obs/statement_stats.h) exposed through `sys$statements`.
+// The digest keys the per-statement record (obs/statement_record.h)
+// exposed through `sys$statements`. The same pass also yields an exact
+// digest that additionally keys the literal values: the materialized-view
+// store matches on it, since one binding's stored answer must never serve
+// another's.
 
 #ifndef XNFDB_PARSER_FINGERPRINT_H_
 #define XNFDB_PARSER_FINGERPRINT_H_
@@ -24,6 +27,10 @@ namespace xnfdb {
 struct Fingerprint {
   std::string text;     // normalized statement text
   uint64_t digest = 0;  // FNV-1a of `text`
+  // `digest` extended over the literal values `text` replaced with `?`
+  // (equal to `digest` when there are none). Multi-row INSERT values are
+  // not visited.
+  uint64_t exact_digest = 0;
 };
 
 // FNV-1a over `s`; exposed for tests and external digest comparisons.

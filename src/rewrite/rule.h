@@ -17,7 +17,7 @@
 
 #include "common/status.h"
 #include "obs/metrics.h"
-#include "obs/plan_feedback.h"
+#include "obs/statement_record.h"
 #include "obs/trace.h"
 #include "qgm/qgm.h"
 

@@ -42,6 +42,9 @@ struct CompiledQuery {
   // per-statement statistics behind sys$statements and the slow-query log.
   std::string normalized_text;
   uint64_t digest = 0;
+  // The digest that also keys the literal values (materialized-view
+  // matching).
+  uint64_t exact_digest = 0;
 };
 
 // Compiles a plain SQL SELECT.

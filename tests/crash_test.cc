@@ -14,6 +14,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <exception>
 #include <memory>
 #include <sstream>
@@ -242,8 +243,19 @@ TEST(DiagnosticBundleTest, BundleIsACompleteSetOfCheckedFiles) {
   ASSERT_EQ(env.size(), 2u);
   EXPECT_EQ(env[0].name, "ENV");
   EXPECT_NE(env[0].payload.find("XNFDB_EVENTS="), std::string::npos);
+  // Every runtime knob is listed, the batch/morsel/matview ones included,
+  // and the record counts match the lines actually written.
+  EXPECT_NE(env[0].payload.find("XNFDB_MATVIEWS="), std::string::npos);
+  EXPECT_NE(env[0].payload.find("XNFDB_MORSEL_WORKERS="), std::string::npos);
+  EXPECT_EQ(env[0].payload.find("XNFDB_PLAN_FEEDBACK"), std::string::npos);
+  EXPECT_EQ(env[0].records, 25u);
+  auto lines = [](const std::string& text) {
+    return static_cast<size_t>(std::count(text.begin(), text.end(), '\n'));
+  };
+  EXPECT_EQ(lines(env[0].payload), env[0].records);
   EXPECT_EQ(env[1].name, "RESOLVED");
   EXPECT_NE(env[1].payload.find("events_enabled="), std::string::npos);
+  EXPECT_EQ(lines(env[1].payload), env[1].records);
 
   std::vector<FileSection> manifest = ReadDiagFile(dir + "/MANIFEST.diag");
   ASSERT_EQ(manifest.size(), 1u);

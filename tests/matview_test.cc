@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "api/database.h"
+#include "common/log.h"
 #include "exec/executor.h"
 #include "tests/paper_db.h"
 
@@ -152,6 +153,78 @@ TEST(MatViewTest, DisabledStoreNeverCapturesOrServes) {
     EXPECT_EQ(r.value().plan_shape.find("matview_scan"), std::string::npos);
   }
   EXPECT_EQ(db.matviews().size(), 0u);
+}
+
+TEST(MatViewTest, LiteralBindingsNeverServeEachOthersAnswer) {
+  Database db;
+  db.matviews().set_enabled(true);
+  ASSERT_TRUE(db.Execute("CREATE TABLE T (A INTEGER, B INTEGER)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO T VALUES (1, 10), (2, 20)").ok());
+  std::vector<std::string> lines;
+  Logger::Default().SetSink([&](const std::string& l) { lines.push_back(l); });
+  auto b_of = [&](int a) -> Result<QueryResult> {
+    return db.Query("SELECT B FROM T WHERE A = " + std::to_string(a));
+  };
+  // Three runs of one binding: captured, then served.
+  for (int i = 0; i < 3; ++i) {
+    Result<QueryResult> r = b_of(1);
+    ASSERT_TRUE(r.ok());
+    ASSERT_EQ(r.value().rows().size(), 1u);
+    EXPECT_EQ(r.value().rows()[0][0].AsInt(), 10);
+  }
+  Result<QueryResult> served = b_of(1);
+  ASSERT_TRUE(served.ok());
+  EXPECT_NE(served.value().plan_shape.find("matview_scan"), std::string::npos)
+      << served.value().plan_shape;
+  // Same statement shape, other literal: its own answer, then its own
+  // materialization.
+  for (int i = 0; i < 4; ++i) {
+    Result<QueryResult> r = b_of(2);
+    ASSERT_TRUE(r.ok());
+    ASSERT_EQ(r.value().rows().size(), 1u) << "run " << i;
+    EXPECT_EQ(r.value().rows()[0][0].AsInt(), 20) << "run " << i;
+  }
+  Result<QueryResult> again = b_of(1);
+  ASSERT_TRUE(again.ok());
+  ASSERT_EQ(again.value().rows().size(), 1u);
+  EXPECT_EQ(again.value().rows()[0][0].AsInt(), 10);
+  Logger::Default().SetSink(nullptr);
+  // A matview starting (or stopping) to serve is an expected plan flip.
+  for (const std::string& l : lines) {
+    EXPECT_EQ(l.find("planchange"), std::string::npos) << l;
+  }
+}
+
+TEST(MatViewTest, SameShapeViewsWithDifferentLiteralsServeTheirOwnAnswers) {
+  std::string ykt_query = testing_util::kDepsArcQuery;
+  ykt_query.replace(ykt_query.find("'ARC'"), 5, "'YKT'");
+  Database db;
+  db.matviews().set_enabled(true);
+  ASSERT_TRUE(LoadPaperDb(&db).ok());
+  ASSERT_TRUE(db.Execute(std::string("CREATE VIEW deps_ARC AS ") +
+                         testing_util::kDepsArcQuery)
+                  .ok());
+  ASSERT_TRUE(db.Execute("CREATE VIEW deps_YKT AS " + ykt_query).ok());
+
+  Database scratch;
+  scratch.matviews().set_enabled(false);
+  ASSERT_TRUE(LoadPaperDb(&scratch).ok());
+  Result<QueryResult> want_arc = scratch.Query(testing_util::kDepsArcQuery);
+  Result<QueryResult> want_ykt = scratch.Query(ykt_query);
+  ASSERT_TRUE(want_arc.ok());
+  ASSERT_TRUE(want_ykt.ok());
+
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(db.Query("deps_ARC").ok());
+  Result<QueryResult> arc = db.Query("deps_ARC");
+  ASSERT_TRUE(arc.ok());
+  EXPECT_NE(arc.value().plan_shape.find("matview_scan"), std::string::npos);
+  ExpectEquivalent(arc.value(), want_arc.value(), "served deps_ARC");
+  for (int i = 0; i < 4; ++i) {
+    Result<QueryResult> ykt = db.Query("deps_YKT");
+    ASSERT_TRUE(ykt.ok());
+    ExpectEquivalent(ykt.value(), want_ykt.value(),
+                     "deps_YKT run " + std::to_string(i));
+  }
 }
 
 // ---------------------------------------------------------------------------

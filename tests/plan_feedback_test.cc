@@ -1,6 +1,7 @@
 // Plan-quality observability: rewrite-rule traces, cardinality feedback and
 // plan-change detection (SYS$REWRITES / SYS$PLAN_FEEDBACK /
-// SYS$PLAN_HISTORY), plus the q-error edge cases and the store's bounds.
+// SYS$PLAN_HISTORY), plus the q-error edge cases and the per-statement
+// record's feedback merge, plan eviction and bounds.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +11,7 @@
 
 #include "api/database.h"
 #include "common/log.h"
-#include "obs/plan_feedback.h"
+#include "obs/statement_record.h"
 #include "tests/paper_db.h"
 #include "xnf/compiler.h"
 
@@ -133,6 +134,7 @@ TEST(PlanFeedbackTest, PlanHashStableAcrossExecutionKnobs) {
 
 TEST(PlanFeedbackTest, IndexCreationFlipsPlanAndWarns) {
   Database db;
+  db.matviews().set_enabled(true);  // the matview flips below need it
   ASSERT_TRUE(db.Execute("CREATE TABLE T (A INTEGER, B INTEGER)").ok());
   std::string script;
   for (int i = 0; i < 32; ++i) {
@@ -177,6 +179,35 @@ TEST(PlanFeedbackTest, IndexCreationFlipsPlanAndWarns) {
   }
   EXPECT_GE(for_t, 2);
   EXPECT_EQ(current_index_plan, 1);
+
+  // A materialized view starting to serve the statement (the auto-capture
+  // policy stored the previous run), and stopping again, are expected
+  // flips: both land in the history, neither warns nor counts.
+  const int64_t changes_after_index = CounterOr0(&db, "plan.changes");
+  lines.clear();
+  Logger::Default().SetSink([&](const std::string& l) { lines.push_back(l); });
+  Result<QueryResult> served = db.Query(q);
+  db.matviews().set_enabled(false);
+  Result<QueryResult> unserved = db.Query(q);
+  Logger::Default().SetSink(nullptr);
+  ASSERT_TRUE(served.ok());
+  ASSERT_TRUE(unserved.ok());
+  EXPECT_NE(served.value().plan_shape.find("matview_scan"), std::string::npos)
+      << served.value().plan_shape;
+  EXPECT_EQ(unserved.value().plan_shape, after.value().plan_shape);
+  EXPECT_EQ(served.value().rows(), after.value().rows());
+  EXPECT_EQ(CounterOr0(&db, "plan.changes"), changes_after_index);
+  for (const std::string& l : lines) {
+    EXPECT_EQ(l.find("planchange"), std::string::npos) << l;
+  }
+  bool matview_plan_recorded = false;
+  for (const Tuple& row : MustRows(
+           &db, "SELECT PLAN_SHAPE FROM SYS$PLAN_HISTORY")) {
+    if (row[0].AsString().find("matview_scan") != std::string::npos) {
+      matview_plan_recorded = true;
+    }
+  }
+  EXPECT_TRUE(matview_plan_recorded);
 }
 
 TEST(PlanFeedbackTest, AllThreeViewsQueryableThroughSql) {
@@ -218,22 +249,53 @@ TEST(PlanFeedbackTest, AllThreeViewsQueryableThroughSql) {
   }
 }
 
+// One finished statement: a compile with a one-event trace, or (with a
+// non-zero plan hash) an execution of that plan carrying `feedback`.
+obs::StatementSample Sample(uint64_t digest, uint64_t plan_hash,
+                            std::vector<obs::OpFeedback> feedback = {},
+                            bool matview = false) {
+  obs::StatementSample s;
+  s.digest = digest;
+  s.text = "q" + std::to_string(digest);
+  s.kind = "query";
+  s.compiled = true;
+  s.trace.Add(obs::RewriteEvent{"SelectMerge", 1, true, 0, 1, 3, 2});
+  if (plan_hash != 0) {
+    s.planned = true;
+    s.plan_hash = plan_hash;
+    s.plan_shape = "shape-" + std::to_string(plan_hash);
+    s.plan_is_matview = matview;
+    s.execute_us = 100;
+    s.feedback = std::move(feedback);
+  }
+  return s;
+}
+
+obs::StatementRecordStore::PlanChange Record(
+    obs::StatementRecordStore* store, obs::StatementSample s,
+    obs::OpFeedback* top = nullptr) {
+  return store->Record(s, top);
+}
+
 TEST(PlanFeedbackTest, StoreIsBoundedAndEvictsOldestPlan) {
-  obs::PlanFeedbackStore store(/*capacity=*/2, /*max_ops=*/2,
-                               /*max_plans=*/2);
-  obs::RewriteTrace trace;
-  store.RecordCompile(1, "q1", trace);
-  store.RecordCompile(2, "q2", trace);
-  store.RecordCompile(3, "q3", trace);  // over capacity: dropped
+  obs::StatementRecordStore store(/*capacity=*/2, /*max_ops=*/2,
+                                  /*max_plans=*/2);
+  Record(&store, Sample(1, 0));
+  Record(&store, Sample(2, 0));
+  Record(&store, Sample(3, 0));  // over capacity: dropped
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.dropped(), 1);
   // Three distinct plans for digest 1: the oldest-seen one is evicted.
-  store.RecordExecution(1, "q1", 11, "shape-a", 100, {});
-  store.RecordExecution(1, "q1", 22, "shape-b", 100, {});
-  store.RecordExecution(1, "q1", 33, "shape-c", 100, {});
-  std::vector<obs::PlanFeedbackSnapshot> snap = store.Snapshot();
+  EXPECT_FALSE(Record(&store, Sample(1, 11)).changed);
+  obs::StatementRecordStore::PlanChange flip = Record(&store, Sample(1, 22));
+  EXPECT_TRUE(flip.changed);
+  EXPECT_FALSE(flip.matview);
+  EXPECT_EQ(flip.from, 11u);
+  EXPECT_EQ(flip.to, 22u);
+  EXPECT_TRUE(Record(&store, Sample(1, 33)).changed);
+  std::vector<obs::StatementRecord> snap = store.Snapshot();
   ASSERT_EQ(snap.size(), 2u);
-  const obs::PlanFeedbackSnapshot& s1 = snap[0];
+  const obs::StatementRecord& s1 = snap[0];
   EXPECT_EQ(s1.digest, 1u);
   ASSERT_EQ(s1.plans.size(), 2u);
   for (const obs::PlanRecord& p : s1.plans) {
@@ -241,35 +303,68 @@ TEST(PlanFeedbackTest, StoreIsBoundedAndEvictsOldestPlan) {
   }
   EXPECT_EQ(s1.current_plan, 33u);
   EXPECT_EQ(s1.executions, 3);
-  EXPECT_EQ(s1.plan_changes, 2);
+  EXPECT_EQ(s1.calls, 4);  // the compile-only sample counts as a call
+  ASSERT_EQ(s1.trace.events.size(), 1u);
+  // Flips into and out of a materialized-view serve are marked expected.
+  obs::StatementRecordStore::PlanChange into =
+      Record(&store, Sample(1, 44, {}, /*matview=*/true));
+  EXPECT_TRUE(into.changed);
+  EXPECT_TRUE(into.matview);
+  obs::StatementRecordStore::PlanChange out_of = Record(&store, Sample(1, 33));
+  EXPECT_TRUE(out_of.changed);
+  EXPECT_TRUE(out_of.matview);
+  EXPECT_FALSE(Record(&store, Sample(1, 33)).changed);
   // Worst-offender list is truncated to max_ops, sorted by q-error.
   std::vector<obs::OpFeedback> fb(3);
   fb[0] = {"OUT", "scan", 10.0, 1000, 1, obs::QError(10.0, 1000.0)};
   fb[1] = {"OUT", "filter", 10.0, 20, 1, obs::QError(10.0, 20.0)};
   fb[2] = {"OUT", "hash_join", 10.0, 5000, 1, obs::QError(10.0, 5000.0)};
-  store.RecordExecution(2, "q2", 44, "shape-d", 100, std::move(fb));
+  obs::OpFeedback top;
+  Record(&store, Sample(2, 55, std::move(fb)), &top);
+  EXPECT_EQ(top.op, "hash_join");
   snap = store.Snapshot();
-  const obs::PlanFeedbackSnapshot& s2 = snap[1];
+  const obs::StatementRecord& s2 = snap[1];
   ASSERT_EQ(s2.worst.size(), 2u);
   EXPECT_EQ(s2.worst[0].op, "hash_join");
   EXPECT_EQ(s2.worst[1].op, "scan");
-  obs::OpFeedback top = store.TopMisestimate(2);
-  EXPECT_EQ(top.op, "hash_join");
-  EXPECT_TRUE(store.TopMisestimate(999).op.empty());
+  // Merge: the same (output, op) slot keeps whichever observation is worse.
+  Record(&store, Sample(2, 55,
+                        {{"OUT", "scan", 10.0, 20000, 1,
+                          obs::QError(10.0, 20000.0)},
+                         {"OUT", "hash_join", 10.0, 10, 1, 1.0}}));
+  snap = store.Snapshot();
+  ASSERT_EQ(snap[1].worst.size(), 2u);
+  EXPECT_EQ(snap[1].worst[0].op, "scan");
+  EXPECT_EQ(snap[1].worst[0].actual_rows, 20000);
+  EXPECT_EQ(snap[1].worst[1].op, "hash_join");
+  EXPECT_EQ(snap[1].worst[1].actual_rows, 5000);  // the better one lost
+  // No feedback recorded: the top misestimate is empty.
+  Record(&store, Sample(1, 33), &top);
+  EXPECT_TRUE(top.op.empty());
   store.Reset();
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.dropped(), 0);
 }
 
 TEST(PlanFeedbackTest, EnvKnobDisablesCapture) {
-  ::setenv("XNFDB_PLAN_FEEDBACK", "0", 1);
+  // One capture switch: XNFDB_QUERY_PROFILES=0 also turns off the rewrite
+  // trace, cardinality feedback and plan history.
+  ::setenv("XNFDB_QUERY_PROFILES", "0", 1);
   Database db;
-  ::unsetenv("XNFDB_PLAN_FEEDBACK");
+  ::unsetenv("XNFDB_QUERY_PROFILES");
   ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());
-  ASSERT_TRUE(db.Query("SELECT ENO FROM EMP").ok());
-  EXPECT_EQ(db.plan_feedback().size(), 0u);
+  Result<QueryResult> r = db.Query("SELECT ENO FROM EMP");
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r.value().plan_shape.empty());
+  for (const obs::StatementRecord& s : db.statements().Snapshot()) {
+    EXPECT_TRUE(s.trace.events.empty()) << s.text;
+    EXPECT_TRUE(s.worst.empty()) << s.text;
+    EXPECT_TRUE(s.plans.empty()) << s.text;
+  }
   // The views stay registered and queryable — just empty.
   EXPECT_TRUE(MustRows(&db, "SELECT * FROM SYS$PLAN_HISTORY").empty());
+  EXPECT_TRUE(MustRows(&db, "SELECT * FROM SYS$REWRITES").empty());
+  EXPECT_TRUE(MustRows(&db, "SELECT * FROM SYS$PLAN_FEEDBACK").empty());
 }
 
 TEST(PlanFeedbackTest, SlowlogCarriesTopMisestimate) {

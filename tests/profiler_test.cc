@@ -1,7 +1,8 @@
 // Tests of the continuous workload profiler: the metrics time-series
 // sampler (obs/sampler.h, SYS$METRICS_HISTORY), the always-on per-query
-// profile store (obs/query_profile.h, SYS$QUERY_PROFILES and the
-// SYS$STATEMENTS self-time rollup), and the stuck-query watchdog
+// profiles in the per-statement record (obs/statement_record.h,
+// SYS$QUERY_PROFILES and the SYS$STATEMENTS self-time rollup), and the
+// stuck-query watchdog
 // (api/watchdog.h) including auto-cancel of a deliberately wedged query.
 
 #include <gtest/gtest.h>
@@ -21,8 +22,8 @@
 #include "api/watchdog.h"
 #include "common/log.h"
 #include "obs/metrics.h"
-#include "obs/query_profile.h"
 #include "obs/sampler.h"
+#include "obs/statement_record.h"
 #include "storage/sysview.h"
 #include "tests/paper_db.h"
 
@@ -199,29 +200,45 @@ TEST(QueryProfileTest, ClassifyOpBuckets) {
   EXPECT_STREQ(obs::ClassifyOp("agg"), "other");
 }
 
+// Records one finished statement whose sample carries `profile` (or no
+// profile at all when `profile` is null).
+void RecordProfile(obs::StatementRecordStore* store, uint64_t digest,
+                   const obs::QueryProfile* profile) {
+  obs::StatementSample s;
+  s.digest = digest;
+  s.text = "q" + std::to_string(digest);
+  s.kind = "query";
+  if (profile != nullptr) {
+    s.profiled = true;
+    s.profile = *profile;
+  }
+  store->Record(s);
+}
+
 TEST(QueryProfileTest, StoreIsBoundedAndCountsDrops) {
-  obs::QueryProfileStore store(2);
+  obs::StatementRecordStore store(2);
   obs::QueryProfile p;
   p.wall_us = 10;
-  store.Record(1, "one", p);
-  store.Record(2, "two", p);
-  store.Record(3, "three", p);  // over capacity: dropped
-  store.Record(1, "one", p);    // existing digest still accumulates
+  RecordProfile(&store, 1, &p);
+  RecordProfile(&store, 2, &p);
+  RecordProfile(&store, 3, &p);  // over capacity: dropped
+  p.wall_us = 20;
+  RecordProfile(&store, 1, &p);  // existing digest still accumulates
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.dropped(), 1);
 
-  std::vector<obs::QueryProfileSnapshot> snap = store.Snapshot();
+  std::vector<obs::StatementRecord> snap = store.Snapshot();
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].digest, 1u);
   EXPECT_EQ(snap[0].captures, 2);
-  EXPECT_EQ(snap[0].total_wall_us, 20);
+  EXPECT_EQ(snap[0].last_profile.wall_us, 20);  // the most recent capture
 
   store.Reset();
   EXPECT_EQ(store.size(), 0u);
 }
 
 TEST(QueryProfileTest, ClassSelfTimesAccumulateByBucket) {
-  obs::QueryProfileStore store;
+  obs::StatementRecordStore store;
   obs::QueryProfile p;
   obs::OpProfile scan;
   scan.op = "scan";
@@ -230,15 +247,23 @@ TEST(QueryProfileTest, ClassSelfTimesAccumulateByBucket) {
   join.op = "hash_join";
   join.self_us = 20;
   p.ops = {scan, join};
-  store.Record(9, "q", p);
-  store.Record(9, "q", p);
+  RecordProfile(&store, 9, &p);
+  RecordProfile(&store, 9, &p);
+  RecordProfile(&store, 9, nullptr);  // capture off: totals only
+  RecordProfile(&store, 12345, nullptr);
 
-  obs::QueryProfileStore::ClassTotals totals = store.ClassSelfTimes(9);
+  std::vector<obs::StatementRecord> snap = store.Snapshot();
+  ASSERT_EQ(snap.size(), 2u);
+  const obs::ClassTotals& totals = snap[0].self;
+  EXPECT_EQ(snap[0].calls, 3);
+  EXPECT_EQ(snap[0].captures, 2);
   EXPECT_EQ(totals.scan_us, 60);
   EXPECT_EQ(totals.join_us, 40);
   EXPECT_EQ(totals.filter_us, 0);
-  // Unknown digests report zeros.
-  EXPECT_EQ(store.ClassSelfTimes(12345).scan_us, 0);
+  // A digest without a profile reports zeros.
+  EXPECT_EQ(snap[1].digest, 12345u);
+  EXPECT_EQ(snap[1].self.scan_us, 0);
+  EXPECT_EQ(snap[1].captures, 0);
 }
 
 TEST(QueryProfileTest, ExecutionCapturesProfileForFingerprint) {
@@ -246,16 +271,18 @@ TEST(QueryProfileTest, ExecutionCapturesProfileForFingerprint) {
   ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());
   ASSERT_TRUE(db.Execute("SELECT * FROM EMP WHERE SAL > 0").ok());
 
-  std::vector<obs::QueryProfileSnapshot> snap = db.query_profiles().Snapshot();
-  const obs::QueryProfileSnapshot* entry = nullptr;
-  for (const obs::QueryProfileSnapshot& s : snap) {
-    if (s.text.find("EMP") != std::string::npos) entry = &s;
+  std::vector<obs::StatementRecord> snap = db.statements().Snapshot();
+  const obs::StatementRecord* entry = nullptr;
+  for (const obs::StatementRecord& s : snap) {
+    if (s.kind == "query" && s.text.find("EMP") != std::string::npos) {
+      entry = &s;
+    }
   }
-  ASSERT_NE(entry, nullptr) << "no profile captured for the EMP query";
+  ASSERT_NE(entry, nullptr) << "no record for the EMP query";
   EXPECT_EQ(entry->captures, 1);
-  EXPECT_GT(entry->last.rows_out, 0);
+  EXPECT_GT(entry->last_profile.rows_out, 0);
   bool saw_scan = false;
-  for (const obs::OpProfile& op : entry->last.ops) {
+  for (const obs::OpProfile& op : entry->last_profile.ops) {
     if (op.op == "scan") {
       saw_scan = true;
       EXPECT_GT(op.rows, 0);
@@ -308,7 +335,17 @@ TEST(QueryProfileTest, EnvKnobDisablesCapture) {
   ::unsetenv("XNFDB_QUERY_PROFILES");
   ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());
   ASSERT_TRUE(db.Execute("SELECT * FROM EMP").ok());
-  EXPECT_EQ(db.query_profiles().size(), 0u);
+  // The statement's totals still land; nothing captured beyond them.
+  bool found = false;
+  for (const obs::StatementRecord& s : db.statements().Snapshot()) {
+    EXPECT_EQ(s.captures, 0) << s.text;
+    if (s.text.find("EMP") != std::string::npos && s.kind == "query") {
+      found = true;
+      EXPECT_EQ(s.calls, 1);
+    }
+  }
+  EXPECT_TRUE(found);
+  EXPECT_TRUE(MustRows(&db, "SELECT * FROM SYS$QUERY_PROFILES").empty());
 }
 
 TEST(QueryProfileTest, MorselExecutionRecordsWorkerRows) {

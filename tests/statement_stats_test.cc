@@ -1,6 +1,6 @@
-// Tests of query fingerprinting (parser/fingerprint.h) and the bounded
-// per-statement statistics store behind sys$statements
-// (obs/statement_stats.h).
+// Tests of query fingerprinting (parser/fingerprint.h) and the execution
+// totals of the bounded per-statement record behind sys$statements
+// (obs/statement_record.h).
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/statement_stats.h"
+#include "obs/statement_record.h"
 #include "parser/fingerprint.h"
 #include "parser/parser.h"
 
@@ -65,7 +65,32 @@ TEST(FingerprintTest, XnfQueriesNormalizeLiteralsToo) {
   Fingerprint a = FingerprintText(kArc);
   Fingerprint b = FingerprintText(kYkt);
   EXPECT_EQ(a.digest, b.digest);
+  EXPECT_NE(a.exact_digest, b.exact_digest);
   EXPECT_EQ(a.text.find("'ARC'"), std::string::npos) << a.text;
+}
+
+TEST(FingerprintTest, ExactDigestKeepsLiteralValues) {
+  Fingerprint a = FingerprintText("SELECT A FROM T WHERE B = 5 AND C = 'x'");
+  Fingerprint a2 = FingerprintText("SELECT A FROM T WHERE B = 5 AND C = 'x'");
+  Fingerprint b = FingerprintText("SELECT A FROM T WHERE B = 99 AND C = 'x'");
+  Fingerprint swapped =
+      FingerprintText("SELECT A FROM T WHERE B = 'x' AND C = 5");
+  EXPECT_EQ(a.digest, b.digest);  // one shape...
+  EXPECT_NE(a.exact_digest, b.exact_digest);  // ...two bindings
+  EXPECT_EQ(a.exact_digest, a2.exact_digest);
+  EXPECT_NE(a.exact_digest, swapped.exact_digest);
+  // Doubles keep full precision, not Value::ToString's six digits.
+  Fingerprint d1 = FingerprintText("SELECT A FROM T WHERE B > 1.0000001");
+  Fingerprint d2 = FingerprintText("SELECT A FROM T WHERE B > 1.0000002");
+  EXPECT_NE(d1.exact_digest, d2.exact_digest);
+  // LIKE patterns and LIMIT constants are literals too.
+  EXPECT_NE(FingerprintText("SELECT A FROM T WHERE C LIKE 'a%'").exact_digest,
+            FingerprintText("SELECT A FROM T WHERE C LIKE 'b%'").exact_digest);
+  EXPECT_NE(FingerprintText("SELECT A FROM T LIMIT 5").exact_digest,
+            FingerprintText("SELECT A FROM T LIMIT 6").exact_digest);
+  // Without literals the two digests coincide.
+  Fingerprint bare = FingerprintText("SELECT A FROM T");
+  EXPECT_EQ(bare.exact_digest, bare.digest);
 }
 
 TEST(FingerprintTest, HashIsStableFnv1a) {
@@ -83,13 +108,30 @@ TEST(DigestHexTest, SixteenZeroPaddedDigits) {
   EXPECT_EQ(obs::DigestHex(~0ull), "ffffffffffffffff");
 }
 
+// One finished statement with only its execution totals.
+obs::StatementSample Totals(uint64_t digest, const std::string& text, bool ok,
+                            int64_t rows, int64_t elapsed_us) {
+  obs::StatementSample s;
+  s.digest = digest;
+  s.text = text;
+  s.kind = "query";
+  s.ok = ok;
+  s.rows = rows;
+  s.elapsed_us = elapsed_us;
+  return s;
+}
+
+void Record(obs::StatementRecordStore* store, obs::StatementSample s) {
+  store->Record(s);
+}
+
 TEST(StatementStoreTest, AccumulatesPerDigest) {
-  obs::StatementStore store;
-  store.Record(7, "SELECT ?", "query", /*ok=*/true, /*rows=*/3,
-               /*elapsed_us=*/100);
-  store.Record(7, "SELECT ?", "query", true, 5, 300);
-  store.Record(7, "SELECT ?", "query", /*ok=*/false, 0, 50);
-  std::vector<obs::StatementSnapshot> snap = store.Snapshot();
+  obs::StatementRecordStore store;
+  Record(&store, Totals(7, "SELECT ?", /*ok=*/true, /*rows=*/3,
+                        /*elapsed_us=*/100));
+  Record(&store, Totals(7, "SELECT ?", true, 5, 300));
+  Record(&store, Totals(7, "SELECT ?", /*ok=*/false, 0, 50));
+  std::vector<obs::StatementRecord> snap = store.Snapshot();
   ASSERT_EQ(snap.size(), 1u);
   EXPECT_EQ(snap[0].digest, 7u);
   EXPECT_EQ(snap[0].text, "SELECT ?");
@@ -105,14 +147,14 @@ TEST(StatementStoreTest, AccumulatesPerDigest) {
 }
 
 TEST(StatementStoreTest, CapacityBoundsDistinctDigests) {
-  obs::StatementStore store(/*capacity=*/2);
-  store.Record(1, "a", "query", true, 0, 1);
-  store.Record(2, "b", "query", true, 0, 1);
-  store.Record(3, "c", "query", true, 0, 1);  // dropped: store is full
-  store.Record(1, "a", "query", true, 0, 1);  // existing digest still lands
+  obs::StatementRecordStore store(/*capacity=*/2);
+  Record(&store, Totals(1, "a", true, 0, 1));
+  Record(&store, Totals(2, "b", true, 0, 1));
+  Record(&store, Totals(3, "c", true, 0, 1));  // dropped: store is full
+  Record(&store, Totals(1, "a", true, 0, 1));  // existing digest still lands
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.dropped(), 1);
-  std::vector<obs::StatementSnapshot> snap = store.Snapshot();
+  std::vector<obs::StatementRecord> snap = store.Snapshot();
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].calls, 2);
 
@@ -122,7 +164,7 @@ TEST(StatementStoreTest, CapacityBoundsDistinctDigests) {
 }
 
 TEST(StatementStoreTest, ConcurrentRecordsAllLand) {
-  obs::StatementStore store;
+  obs::StatementRecordStore store;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 5000;
   std::atomic<bool> go{false};
@@ -134,14 +176,14 @@ TEST(StatementStoreTest, ConcurrentRecordsAllLand) {
       for (int i = 0; i < kPerThread; ++i) {
         // Two digests shared by all threads plus one private per thread.
         uint64_t digest = i % 3 == 2 ? 100 + t : i % 3;
-        store.Record(digest, "t", "query", true, 1, 10);
+        Record(&store, Totals(digest, "t", true, 1, 10));
       }
     });
   }
   go.store(true);
   for (auto& t : threads) t.join();
   int64_t calls = 0;
-  for (const obs::StatementSnapshot& s : store.Snapshot()) calls += s.calls;
+  for (const obs::StatementRecord& s : store.Snapshot()) calls += s.calls;
   EXPECT_EQ(calls, int64_t{kThreads} * kPerThread);
   EXPECT_EQ(store.size(), 2u + kThreads);
   EXPECT_EQ(store.dropped(), 0);

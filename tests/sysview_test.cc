@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "api/database.h"
-#include "obs/statement_stats.h"
+#include "obs/statement_record.h"
 
 namespace xnfdb {
 namespace {
@@ -108,7 +108,7 @@ TEST(SysViewTest, SysStatementsKeepsOneRowPerShape) {
 
   // The store is queryable through the API too, and agrees.
   bool found = false;
-  for (const obs::StatementSnapshot& s : db.statement_stats().Snapshot()) {
+  for (const obs::StatementRecord& s : db.statements().Snapshot()) {
     if (s.text == "SELECT A FROM T WHERE (A = ?)") {
       found = true;
       EXPECT_EQ(s.calls, 2);
