@@ -250,13 +250,22 @@ std::string Value::ToString() const {
   return "?";
 }
 
-size_t HashTuple(const Tuple& t) {
+size_t HashRow(RowView row) {
   size_t h = 14695981039346656037ULL;
-  for (const Value& v : t) {
+  for (const Value& v : row) {
     h ^= v.Hash();
     h *= 1099511628211ULL;
   }
   return h;
+}
+
+bool RowsEqual(RowView a, RowView b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].is_null() != b[i].is_null()) return false;
+    if (!a[i].is_null() && !(a[i] == b[i])) return false;
+  }
+  return true;
 }
 
 void WriteValueText(std::ostream& out, const Value& v) {

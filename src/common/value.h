@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <iostream>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -99,8 +100,17 @@ class Value {
 // which the executor relies on.
 using Tuple = std::vector<Value>;
 
-// Hash of a whole tuple (for hash joins / distinct).
-size_t HashTuple(const Tuple& t);
+// A read-only view of one row's values (a Tuple, or a row of a flat row
+// store).
+using RowView = std::span<const Value>;
+
+// Hash of a whole row (for hash joins / distinct); consistent with
+// RowsEqual, so 2 and 2.0 hash alike.
+size_t HashRow(RowView row);
+
+// Row equality for grouping and dedup: NULL-safe (NULLs form one class)
+// and numeric across types (2 = 2.0).
+bool RowsEqual(RowView a, RowView b);
 
 std::string TupleToString(const Tuple& t);
 

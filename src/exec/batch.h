@@ -13,6 +13,7 @@
 #ifndef XNFDB_EXEC_BATCH_H_
 #define XNFDB_EXEC_BATCH_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -32,6 +33,16 @@ inline int ResolveBatchSize(int requested) {
   if (requested > 0) return requested;
   return static_cast<int>(
       ParseEnvInt("XNFDB_BATCH_SIZE", 1, 1 << 20, kDefaultBatchSize));
+}
+
+// Capacity of a batch that pulls from an operator estimated to produce
+// `est_rows` rows (< 0 = no estimate): `batch_size`, shrunk toward a small
+// estimate so a point query does not reserve a full batch — but never
+// below 64 rows, since estimates can be low.
+inline size_t BatchCapacityFor(double est_rows, size_t batch_size) {
+  if (est_rows < 0) return batch_size;
+  const size_t est = static_cast<size_t>(est_rows) + 1;
+  return std::min(batch_size, std::max<size_t>(64, est));
 }
 
 class TupleBatch {

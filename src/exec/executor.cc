@@ -6,9 +6,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
-#include <set>
 #include <thread>
-#include <unordered_map>
 
 #include "common/str_util.h"
 #include "obs/phase.h"
@@ -48,28 +46,54 @@ size_t QueryResult::ConnectionCount(int idx) const {
   return n;
 }
 
-namespace {
-
-// Per-component tuple-id assignment with row deduplication (object sharing:
-// "if a component tuple is used multiple times within a view, then it
-// exists only once", Sect. 2).
-struct TidMap {
-  std::unordered_map<Tuple, TupleId, TupleHash, TupleEq> ids;
-  TupleId next = 0;
-
-  std::pair<TupleId, bool> Intern(const Tuple& row) {
-    auto [it, inserted] = ids.emplace(row, next);
-    if (inserted) ++next;
-    return {it->second, inserted};
-  }
-};
-
-Tuple ProjectCols(const Tuple& row, const std::vector<int>& cols) {
-  Tuple out;
-  out.reserve(cols.size());
-  for (int c : cols) out.push_back(row[c]);
-  return out;
+std::pair<TupleId, bool> OutputBuffer::InternRow(RowView row) {
+  auto [tid, inserted] = index_.InsertUnique(
+      HashRow(row), static_cast<uint32_t>(items_.size()),
+      [&](uint32_t id) { return RowsEqual(items_[id].values, row); });
+  if (inserted) AppendRow(row);
+  return {static_cast<TupleId>(tid), inserted};
 }
+
+TupleId OutputBuffer::AppendRow(RowView row) {
+  StreamItem& item = items_.emplace_back();
+  item.kind = StreamItem::Kind::kRow;
+  item.output = output_;
+  item.tid = static_cast<TupleId>(items_.size() - 1);
+  item.values.assign(row.begin(), row.end());
+  return item.tid;
+}
+
+TupleId OutputBuffer::FindRow(RowView row) const {
+  uint32_t id = index_.Find(HashRow(row), [&](uint32_t i) {
+    return RowsEqual(items_[i].values, row);
+  });
+  return id == RowHashIndex::kNone ? -1 : static_cast<TupleId>(id);
+}
+
+bool OutputBuffer::AddConnection(std::span<const TupleId> tids) {
+  size_t hash = 14695981039346656037ULL;  // FNV-1a over the tids
+  for (TupleId t : tids) {
+    hash ^= std::hash<TupleId>()(t);
+    hash *= 1099511628211ULL;
+  }
+  const bool inserted =
+      index_
+          .InsertUnique(hash, static_cast<uint32_t>(items_.size()),
+                        [&](uint32_t id) {
+                          return std::equal(tids.begin(), tids.end(),
+                                            items_[id].tids.begin(),
+                                            items_[id].tids.end());
+                        })
+          .second;
+  if (!inserted) return false;
+  StreamItem& item = items_.emplace_back();
+  item.kind = StreamItem::Kind::kConnection;
+  item.output = output_;
+  item.tids.assign(tids.begin(), tids.end());
+  return true;
+}
+
+namespace {
 
 int ResolveMorselWorkers(int requested) {
   if (requested > 0) return requested;
@@ -83,9 +107,10 @@ Rid ResolveMorselRows(int64_t requested) {
 }
 
 // Pulls every row out of `op` (already Open) at the requested granularity
-// and hands each to `emit` (Tuple&& -> Status). batch_size <= 1 keeps the
-// classic row-at-a-time pull; otherwise each delivered batch bumps
-// `batches_emitted`.
+// and hands each to `emit` (const Tuple& -> Status); rows stay in their
+// batch slots, which keep their capacity for the next batch. batch_size
+// <= 1 keeps the classic row-at-a-time pull; otherwise each delivered
+// batch bumps `batches_emitted`.
 template <typename EmitFn>
 Status PullRows(Operator* op, int batch_size, StatCounter* batches_emitted,
                 const EmitFn& emit) {
@@ -94,18 +119,18 @@ Status PullRows(Operator* op, int batch_size, StatCounter* batches_emitted,
     while (true) {
       XNFDB_ASSIGN_OR_RETURN(bool more, op->Next(&row));
       if (!more) break;
-      XNFDB_RETURN_IF_ERROR(emit(std::move(row)));
-      row = Tuple();
+      XNFDB_RETURN_IF_ERROR(emit(row));
     }
     return Status::Ok();
   }
-  TupleBatch batch(static_cast<size_t>(batch_size));
+  TupleBatch batch(BatchCapacityFor(op->estimated_rows(),
+                                    static_cast<size_t>(batch_size)));
   while (true) {
     XNFDB_ASSIGN_OR_RETURN(bool more, op->NextBatch(&batch));
     if (!more) break;
     ++*batches_emitted;
     for (size_t i = 0; i < batch.ActiveCount(); ++i) {
-      XNFDB_RETURN_IF_ERROR(emit(std::move(batch.Active(i))));
+      XNFDB_RETURN_IF_ERROR(emit(batch.Active(i)));
     }
   }
   return Status::Ok();
@@ -238,11 +263,12 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
   int n_outputs = static_cast<int>(top->outputs.size());
   const bool collect_counts = options.collect_dedup_counts;
   std::map<std::string, int> component_output;  // name -> output index
-  std::map<std::string, TidMap> tids;  // component name -> tid map
+  std::vector<OutputBuffer> buffers;
+  buffers.reserve(n_outputs);
   for (int i = 0; i < n_outputs; ++i) {
+    buffers.emplace_back(i);
     if (!top->outputs[i].is_connection) {
       component_output[top->outputs[i].name] = i;
-      tids[top->outputs[i].name];  // pre-create: stable under parallel pass
       if (collect_counts && top->outputs[i].xnf_component) {
         result.component_counts[i];  // pre-create: stable under parallel pass
       }
@@ -250,7 +276,6 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
       result.connection_counts[i];
     }
   }
-  std::vector<std::vector<StreamItem>> buffers(n_outputs);
   std::vector<std::string> plan_texts(n_outputs);
 
   // Always-on profile and cardinality-feedback accumulation. Output passes
@@ -289,27 +314,21 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
     plan_texts[oi] = std::move(text);
   };
 
-  // Tags one projected component row and appends it to the output buffer
-  // (dedup via the component's tid map for XNF object sharing). Rows are
-  // charged against the governor's row budget here — after dedup, so the
-  // budget bounds what the client actually receives.
-  auto emit_component = [&](int oi, const qgm::TopOutput& out, TidMap& map,
-                            Tuple&& projected) -> Status {
-    StreamItem item;
-    item.kind = StreamItem::Kind::kRow;
-    item.output = oi;
+  // Appends one projected component row to the output buffer (interned
+  // there for XNF object sharing). Rows are charged against the governor's
+  // row budget here — after dedup, so the budget bounds what the client
+  // actually receives.
+  auto emit_component = [&](int oi, const qgm::TopOutput& out,
+                            RowView projected) -> Status {
     if (out.xnf_component) {
-      auto [tid, inserted] = map.Intern(projected);
+      auto [tid, inserted] = buffers[oi].InternRow(projected);
       if (collect_counts) ++result.component_counts[oi][tid];
       if (!inserted) return Status::Ok();  // object sharing: emit once
-      item.tid = tid;
     } else {
-      item.tid = map.next++;
+      buffers[oi].AppendRow(projected);
     }
     if (ctx != nullptr) XNFDB_RETURN_IF_ERROR(ctx->ChargeOutputRows(1));
-    item.values = std::move(projected);
     ++run_stats.rows_output;
-    buffers[oi].push_back(std::move(item));
     return Status::Ok();
   };
 
@@ -338,7 +357,8 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
     morsels->rows_per_morsel = morsel_rows;
     for (ScanOp* d : drivers) d->ShareMorsels(morsels);
 
-    std::vector<std::vector<Tuple>> buckets(morsels->MorselCount());
+    std::vector<RowStore> buckets(morsels->MorselCount());
+    for (RowStore& b : buckets) b.Reset(static_cast<double>(morsel_rows));
     std::vector<Status> worker_status(plans.size());
     auto worker = [&](size_t w) -> Status {
       Operator* plan = plans[w].get();
@@ -353,13 +373,13 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
       auto w0 = std::chrono::steady_clock::now();
       int64_t worker_rows = 0;
       XNFDB_RETURN_IF_ERROR(plan->Open());
+      Tuple scratch;
       XNFDB_RETURN_IF_ERROR(PullRows(
           plan, batch_size, &run_stats.batches_emitted,
-          [&](Tuple&& row) -> Status {
+          [&](const Tuple& row) -> Status {
             // A batch never spans morsels (ScanOp guarantee), so the
             // driver's current morsel tags every row it just produced.
-            Tuple projected =
-                out.cols.empty() ? std::move(row) : ProjectCols(row, out.cols);
+            RowView projected = ProjectCols(row, out.cols, &scratch);
             // Bucketed rows are buffered server-side until reassembly, so
             // they count against the memory budget (not the row budget:
             // dedup happens at reassembly).
@@ -368,7 +388,7 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
                   ctx->ReserveBytes(ApproxTupleBytes(projected)));
             }
             ++worker_rows;
-            buckets[driver->current_morsel()].push_back(std::move(projected));
+            buckets[driver->current_morsel()].Append(projected);
             return Status::Ok();
           }));
       plan->Close();
@@ -400,11 +420,9 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
       XNFDB_RETURN_IF_ERROR(s);
     }
     // Sequential reassembly: morsel order == scan order.
-    TidMap& map = tids[out.name];
-    for (std::vector<Tuple>& bucket : buckets) {
-      for (Tuple& projected : bucket) {
-        XNFDB_RETURN_IF_ERROR(
-            emit_component(oi, out, map, std::move(projected)));
+    for (const RowStore& bucket : buckets) {
+      for (size_t r = 0; r < bucket.size(); ++r) {
+        XNFDB_RETURN_IF_ERROR(emit_component(oi, out, bucket.Row(r)));
       }
     }
     return Status::Ok();
@@ -445,13 +463,12 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
           }
         }
         XNFDB_RETURN_IF_ERROR(op->Open());
-        TidMap& map = tids[out.name];
+        Tuple scratch;
         XNFDB_RETURN_IF_ERROR(PullRows(
             op.get(), batch_size, &run_stats.batches_emitted,
-            [&](Tuple&& row) -> Status {
-              Tuple projected =
-                  out.cols.empty() ? std::move(row) : ProjectCols(row, out.cols);
-              return emit_component(oi, out, map, std::move(projected));
+            [&](const Tuple& row) -> Status {
+              return emit_component(oi, out,
+                                    ProjectCols(row, out.cols, &scratch));
             }));
         op->Close();
         capture_plan(oi, out, op.get());
@@ -477,13 +494,14 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
         capture_shape(oi, out, op.get());
         obs::PhaseScope phase(nullptr, options.metrics, "execute");
         XNFDB_RETURN_IF_ERROR(op->Open());
-        std::set<std::vector<TupleId>> seen;
         std::map<std::vector<TupleId>, int64_t>* counts =
             collect_counts ? &result.connection_counts[oi] : nullptr;
+        std::vector<TupleId> partner_tids;  // reused per row
+        Tuple key;                          // reused partner-key scratch
         XNFDB_RETURN_IF_ERROR(PullRows(
             op.get(), batch_size, &run_stats.batches_emitted,
-            [&](Tuple&& row) -> Status {
-              std::vector<TupleId> partner_tids;
+            [&](const Tuple& row) -> Status {
+              partner_tids.clear();
               for (size_t pi = 0; pi < out.partner_names.size(); ++pi) {
                 const std::string& partner = out.partner_names[pi];
                 auto cit = component_output.find(partner);
@@ -491,30 +509,24 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
                   return Status::Internal("connection partner '" + partner +
                                           "' is not an output component");
                 }
-                Tuple key = ProjectCols(row, out.partner_cols[pi]);
-                const TidMap& map = tids.find(partner)->second;
-                auto it = map.ids.find(key);
-                if (it == map.ids.end()) {
+                const TupleId tid = buffers[cit->second].FindRow(
+                    ProjectCols(row, out.partner_cols[pi], &key));
+                if (tid < 0) {
                   // The partner row did not appear in its component stream
                   // (can happen only for non-reachable setups); drop the
                   // connection to keep the answer closed.
                   return Status::Ok();
                 }
-                partner_tids.push_back(it->second);
+                partner_tids.push_back(tid);
               }
               if (counts != nullptr) ++(*counts)[partner_tids];
-              if (!seen.insert(partner_tids).second) {
+              if (!buffers[oi].AddConnection(partner_tids)) {
                 return Status::Ok();  // duplicate connection
               }
               if (ctx != nullptr) {
                 XNFDB_RETURN_IF_ERROR(ctx->ChargeOutputRows(1));
               }
-              StreamItem item;
-              item.kind = StreamItem::Kind::kConnection;
-              item.output = oi;
-              item.tids = std::move(partner_tids);
               ++run_stats.rows_output;
-              buffers[oi].push_back(std::move(item));
               return Status::Ok();
             }));
         op->Close();
@@ -562,10 +574,10 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
   // deterministic interleaving; the paper allows any, Sect. 5.1).
   obs::PhaseScope deliver_phase(options.tracer, options.metrics, "deliver");
   size_t total = 0;
-  for (const auto& b : buffers) total += b.size();
+  for (OutputBuffer& b : buffers) total += b.items().size();
   result.stream.reserve(total);
-  for (auto& b : buffers) {
-    for (StreamItem& item : b) result.stream.push_back(std::move(item));
+  for (OutputBuffer& b : buffers) {
+    for (StreamItem& item : b.items()) result.stream.push_back(std::move(item));
   }
   return result;
 }

@@ -14,13 +14,16 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/schema.h"
 #include "common/status.h"
 #include "exec/operators.h"
 #include "exec/query_context.h"
+#include "exec/row_store.h"
 #include "obs/metrics.h"
 #include "obs/statement_record.h"
 #include "obs/trace.h"
@@ -50,6 +53,35 @@ struct StreamItem {
   TupleId tid = -1;           // kRow
   Tuple values;               // kRow
   std::vector<TupleId> tids;  // kConnection: partner tids, parent first
+};
+
+// One output stream's delivered items, deduplicated in place: a
+// RowHashIndex over the items themselves interns component rows by value
+// (XNF object sharing — "if a component tuple is used multiple times within
+// a view, then it exists only once", Sect. 2) and connections by partner
+// tids, so no second copy of any row is kept. A row's tid is its position
+// in items(). Used by both the rewrite path's executor and the fixpoint.
+class OutputBuffer {
+ public:
+  explicit OutputBuffer(int output = -1) : output_(output) {}
+
+  // Appends component row `row` unless an equal row is already buffered;
+  // returns its tid and whether it was appended.
+  std::pair<TupleId, bool> InternRow(RowView row);
+  // Appends `row` without dedup (plain SQL outputs); returns its tid.
+  TupleId AppendRow(RowView row);
+  // The tid of interned component row `row`, or -1.
+  TupleId FindRow(RowView row) const;
+  // Appends connection `tids` unless an equal connection is already
+  // buffered; returns whether it was appended.
+  bool AddConnection(std::span<const TupleId> tids);
+
+  std::vector<StreamItem>& items() { return items_; }
+
+ private:
+  int output_;
+  std::vector<StreamItem> items_;
+  RowHashIndex index_;
 };
 
 struct QueryResult {

@@ -44,7 +44,7 @@ void Layout::Append(const Layout& other, size_t shift) {
 }
 
 Result<Value> EvalExpr(const qgm::Expr& e, const Layout& layout,
-                       const Tuple& row) {
+                       RowView row) {
   using Kind = qgm::Expr::Kind;
   switch (e.kind) {
     case Kind::kLiteral:
@@ -190,7 +190,7 @@ Result<Value> EvalExpr(const qgm::Expr& e, const Layout& layout,
 }
 
 Result<bool> EvalPredicate(const qgm::Expr& e, const Layout& layout,
-                           const Tuple& row) {
+                           RowView row) {
   XNFDB_ASSIGN_OR_RETURN(Value v, EvalExpr(e, layout, row));
   if (v.is_null()) return false;
   if (v.type() != DataType::kBool) {

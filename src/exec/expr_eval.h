@@ -54,25 +54,19 @@ class Layout {
 // Aggregate expressions are rejected here; the aggregation operator handles
 // them separately.
 Result<Value> EvalExpr(const qgm::Expr& e, const Layout& layout,
-                       const Tuple& row);
+                       RowView row);
 
 // SQL three-valued predicate check: true only when `e` evaluates to TRUE.
 Result<bool> EvalPredicate(const qgm::Expr& e, const Layout& layout,
-                           const Tuple& row);
+                           RowView row);
 
 // Hash/equality functors for Tuple keys in hash joins and distinct.
 struct TupleHash {
-  size_t operator()(const Tuple& t) const { return HashTuple(t); }
+  size_t operator()(const Tuple& t) const { return HashRow(t); }
 };
 struct TupleEq {
   bool operator()(const Tuple& a, const Tuple& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      // NULL-safe equality so grouping/dedup treat NULLs as one class.
-      if (a[i].is_null() != b[i].is_null()) return false;
-      if (!a[i].is_null() && !(a[i] == b[i])) return false;
-    }
-    return true;
+    return RowsEqual(a, b);
   }
 };
 

@@ -227,37 +227,59 @@ uint64_t PlanShapeHash(const std::string& shape) {
   return h;
 }
 
-Result<std::vector<Tuple>> DrainOperator(Operator* op, int batch_size,
-                                         QueryContext* ctx) {
-  std::vector<Tuple> rows;
+namespace {
+
+// Opens `op`, hands every row it produces to `keep` (const Tuple& ->
+// Status) at the requested pull granularity, and closes it.
+template <typename KeepFn>
+Status DrainRows(Operator* op, int batch_size, const KeepFn& keep) {
   XNFDB_RETURN_IF_ERROR(op->Open());
   if (batch_size <= 1) {
     Tuple row;
     while (true) {
       XNFDB_ASSIGN_OR_RETURN(bool more, op->Next(&row));
       if (!more) break;
-      if (ctx != nullptr) {
-        XNFDB_RETURN_IF_ERROR(ctx->ReserveBytes(ApproxTupleBytes(row)));
-      }
-      rows.push_back(std::move(row));
-      row = Tuple();
+      XNFDB_RETURN_IF_ERROR(keep(row));
     }
   } else {
-    TupleBatch batch(static_cast<size_t>(batch_size));
+    TupleBatch batch(BatchCapacityFor(op->estimated_rows(),
+                                      static_cast<size_t>(batch_size)));
     while (true) {
       XNFDB_ASSIGN_OR_RETURN(bool more, op->NextBatch(&batch));
       if (!more) break;
       for (size_t i = 0; i < batch.ActiveCount(); ++i) {
-        if (ctx != nullptr) {
-          XNFDB_RETURN_IF_ERROR(
-              ctx->ReserveBytes(ApproxTupleBytes(batch.Active(i))));
-        }
-        rows.push_back(std::move(batch.Active(i)));
+        XNFDB_RETURN_IF_ERROR(keep(batch.Active(i)));
       }
     }
   }
   op->Close();
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<std::vector<Tuple>> DrainOperator(Operator* op, int batch_size) {
+  std::vector<Tuple> rows;
+  XNFDB_RETURN_IF_ERROR(DrainRows(op, batch_size, [&](const Tuple& row) {
+    rows.push_back(row);
+    return Status::Ok();
+  }));
   return rows;
+}
+
+Status DrainInto(Operator* op, int batch_size, QueryContext* ctx,
+                 RowStore* out) {
+  out->Reset(op->estimated_rows());
+  return DrainRows(op, batch_size, [&](const Tuple& row) -> Status {
+    if (!out->empty() && row.size() != out->width()) {
+      return Status::Internal("materialized rows differ in width");
+    }
+    if (ctx != nullptr) {
+      XNFDB_RETURN_IF_ERROR(ctx->ReserveBytes(ApproxTupleBytes(row)));
+    }
+    out->Append(row);
+    return Status::Ok();
+  });
 }
 
 // --- sources ---------------------------------------------------------------
@@ -371,14 +393,14 @@ Result<bool> RangeScanOp::NextImpl(Tuple* row) {
 
 Result<bool> MaterializedOp::NextImpl(Tuple* row) {
   if (pos_ >= rows_->size()) return false;
-  *row = (*rows_)[pos_++];
+  rows_->CopyRow(pos_++, row);
   if (stats_ != nullptr) ++stats_->spool_read_rows;
   return true;
 }
 
 Result<bool> MaterializedOp::NextBatchImpl(TupleBatch* out) {
   while (pos_ < rows_->size() && !out->Full()) {
-    out->AppendRow() = (*rows_)[pos_++];
+    rows_->CopyRow(pos_++, &out->AppendRow());
     if (stats_ != nullptr) ++stats_->spool_read_rows;
   }
   if (!out->Empty() && stats_ != nullptr) ++stats_->batches_spool;
@@ -475,18 +497,34 @@ Result<bool> ProjectOp::NextBatchImpl(TupleBatch* out) {
   return true;
 }
 
+Result<bool> DistinctOp::FirstSighting(const Tuple& row) {
+  if (!seen_.Intern(row).second) return false;
+  if (context() != nullptr) {
+    XNFDB_RETURN_IF_ERROR(context()->ReserveBytes(ApproxTupleBytes(row)));
+  }
+  return true;
+}
+
 Result<bool> DistinctOp::NextImpl(Tuple* row) {
   while (true) {
     XNFDB_ASSIGN_OR_RETURN(bool more, child_->Next(row));
     if (!more) return false;
-    if (seen_.emplace(*row, true).second) {
-      // The dedup table keeps a copy of every distinct row.
-      if (context() != nullptr) {
-        XNFDB_RETURN_IF_ERROR(context()->ReserveBytes(ApproxTupleBytes(*row)));
-      }
-      return true;
-    }
+    XNFDB_ASSIGN_OR_RETURN(bool first, FirstSighting(*row));
+    if (first) return true;
   }
+}
+
+Result<bool> DistinctOp::NextBatchImpl(TupleBatch* out) {
+  XNFDB_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));
+  if (!more) return false;
+  std::vector<uint32_t>& sel = out->sel();
+  size_t kept = 0;
+  for (size_t i = 0; i < sel.size(); ++i) {
+    XNFDB_ASSIGN_OR_RETURN(bool first, FirstSighting(out->rows()[sel[i]]));
+    if (first) sel[kept++] = sel[i];
+  }
+  sel.resize(kept);
+  return true;
 }
 
 Status SortOp::OpenImpl() {
@@ -552,94 +590,101 @@ Status HashJoinOp::OpenImpl() {
     left_key_cols_.push_back(left_layout_.Offset(k->quant_id) +
                              static_cast<size_t>(k->column));
   }
-  build_.clear();
-  Tuple row;
-  while (true) {
-    XNFDB_ASSIGN_OR_RETURN(bool more, right_->Next(&row));
-    if (!more) break;
-    Tuple key;
-    key.reserve(right_keys_.size());
-    bool null_key = false;
-    for (const qgm::Expr* k : right_keys_) {
-      XNFDB_ASSIGN_OR_RETURN(Value v, EvalExpr(*k, right_layout_, row));
-      if (v.is_null()) null_key = true;
-      key.push_back(std::move(v));
-    }
-    if (null_key) continue;  // NULL keys never join
-    if (context() != nullptr) {
-      XNFDB_RETURN_IF_ERROR(context()->ReserveBytes(ApproxTupleBytes(row) +
-                                                    ApproxTupleBytes(key)));
-    }
-    build_[std::move(key)].push_back(std::move(row));
-    row = Tuple();
-  }
-  matches_ = nullptr;
-  match_pos_ = 0;
+  XNFDB_RETURN_IF_ERROR(Build());
+  match_ = RowHashIndex::kNone;
   return Status::Ok();
 }
 
-Result<bool> HashJoinOp::ProbeKey(const Tuple& row, Tuple* key) const {
-  key->clear();
-  key->reserve(left_keys_.size());
+Status HashJoinOp::Build() {
+  const double est = right_->estimated_rows();
+  build_rows_.Reset(est);
+  build_keys_.Reset(est);
+  build_index_.Clear();
+  TupleBatch batch(BatchCapacityFor(est, kDefaultBatchSize));
+  Tuple& key = probe_key_;  // scratch until the first probe
+  while (true) {
+    XNFDB_ASSIGN_OR_RETURN(bool more, right_->NextBatch(&batch));
+    if (!more) break;
+    for (size_t i = 0; i < batch.ActiveCount(); ++i) {
+      const Tuple& row = batch.Active(i);
+      key.clear();
+      bool null_key = false;
+      for (const qgm::Expr* k : right_keys_) {
+        XNFDB_ASSIGN_OR_RETURN(Value v, EvalExpr(*k, right_layout_, row));
+        if (v.is_null()) null_key = true;
+        key.push_back(std::move(v));
+      }
+      if (null_key) continue;  // NULL keys never join
+      if (context() != nullptr) {
+        XNFDB_RETURN_IF_ERROR(context()->ReserveBytes(
+            ApproxTupleBytes(row) + ApproxTupleBytes(key)));
+      }
+      const auto id = static_cast<uint32_t>(build_rows_.Append(row));
+      build_keys_.Append(key);
+      build_index_.Insert(HashRow(key), id, [&](uint32_t other) {
+        return RowsEqual(build_keys_.Row(other), key);
+      });
+    }
+  }
+  return Status::Ok();
+}
+
+Result<uint32_t> HashJoinOp::FirstMatch(const Tuple& row) {
+  probe_key_.clear();
   if (left_keys_flat_) {
     for (size_t col : left_key_cols_) {
       if (col >= row.size()) {
         return Status::Internal("join key column beyond combined row");
       }
-      if (row[col].is_null()) return false;
-      key->push_back(row[col]);
+      if (row[col].is_null()) return RowHashIndex::kNone;
+      probe_key_.push_back(row[col]);
     }
-    return true;
+  } else {
+    bool null_key = false;
+    for (const qgm::Expr* k : left_keys_) {
+      XNFDB_ASSIGN_OR_RETURN(Value v, EvalExpr(*k, left_layout_, row));
+      if (v.is_null()) null_key = true;
+      probe_key_.push_back(std::move(v));
+    }
+    if (null_key) return RowHashIndex::kNone;
   }
-  bool null_key = false;
-  for (const qgm::Expr* k : left_keys_) {
-    XNFDB_ASSIGN_OR_RETURN(Value v, EvalExpr(*k, left_layout_, row));
-    if (v.is_null()) null_key = true;
-    key->push_back(std::move(v));
-  }
-  return !null_key;
+  return build_index_.Find(HashRow(probe_key_), [&](uint32_t id) {
+    return RowsEqual(build_keys_.Row(id), probe_key_);
+  });
 }
 
 Result<bool> HashJoinOp::NextImpl(Tuple* row) {
   while (true) {
-    if (matches_ != nullptr && match_pos_ < matches_->size()) {
-      const Tuple& right_row = (*matches_)[match_pos_++];
-      Tuple combined = current_left_;
-      combined.insert(combined.end(), right_row.begin(), right_row.end());
+    while (match_ != RowHashIndex::kNone) {
+      RowView right_row = build_rows_.Row(match_);
+      match_ = build_index_.NextDuplicate(match_);
+      row->clear();
+      row->reserve(current_left_.size() + right_row.size());
+      row->insert(row->end(), current_left_.begin(), current_left_.end());
+      row->insert(row->end(), right_row.begin(), right_row.end());
       bool pass = true;
       for (const qgm::Expr* p : residual_) {
         XNFDB_ASSIGN_OR_RETURN(bool ok,
-                               EvalPredicate(*p, combined_layout_, combined));
+                               EvalPredicate(*p, combined_layout_, *row));
         if (!ok) {
           pass = false;
           break;
         }
       }
-      if (!pass) continue;
-      *row = std::move(combined);
-      return true;
+      if (pass) return true;
     }
     XNFDB_ASSIGN_OR_RETURN(bool more, left_->Next(&current_left_));
     if (!more) return false;
     if (stats_ != nullptr) ++stats_->join_probes;
-    matches_ = nullptr;
-    match_pos_ = 0;
-    Tuple key;
-    XNFDB_ASSIGN_OR_RETURN(bool usable, ProbeKey(current_left_, &key));
-    if (!usable) continue;
-    auto it = build_.find(key);
-    if (it != build_.end()) matches_ = &it->second;
+    XNFDB_ASSIGN_OR_RETURN(match_, FirstMatch(current_left_));
   }
 }
 
 Status HashJoinOp::ProbeInto(const Tuple& left, TupleBatch* out) {
   if (stats_ != nullptr) ++stats_->join_probes;
-  Tuple key;
-  XNFDB_ASSIGN_OR_RETURN(bool usable, ProbeKey(left, &key));
-  if (!usable) return Status::Ok();
-  auto it = build_.find(key);
-  if (it == build_.end()) return Status::Ok();
-  for (const Tuple& right_row : it->second) {
+  XNFDB_ASSIGN_OR_RETURN(uint32_t m, FirstMatch(left));
+  for (; m != RowHashIndex::kNone; m = build_index_.NextDuplicate(m)) {
+    RowView right_row = build_rows_.Row(m);
     Tuple& combined = out->AppendRow();  // retracted below if residual fails
     combined.clear();
     combined.reserve(left.size() + right_row.size());
@@ -741,67 +786,78 @@ Status ExistsFilterOp::EnsureIndex(GroupCheck* g) {
   if (context() != nullptr) {
     XNFDB_RETURN_IF_ERROR(context()->Check());
   }
+  g->keys.Reset(static_cast<double>(g->rows->size()));
+  g->key_rows.clear();
+  g->index.Clear();
+  Tuple& key = probe_key_;  // scratch: no probe is in flight during a build
   for (size_t i = 0; i < g->rows->size(); ++i) {
     if (context() != nullptr && i > 0 && (i % 1024) == 0) {
       XNFDB_RETURN_IF_ERROR(context()->Check());
     }
-    Tuple key;
-    key.reserve(g->equi_inner.size());
+    key.clear();
     bool null_key = false;
     for (const qgm::Expr* k : g->equi_inner) {
       XNFDB_ASSIGN_OR_RETURN(Value v,
-                             EvalExpr(*k, g->group_layout, (*g->rows)[i]));
+                             EvalExpr(*k, g->group_layout, g->rows->Row(i)));
       if (v.is_null()) null_key = true;
       key.push_back(std::move(v));
     }
-    if (!null_key) {
-      if (context() != nullptr) {
-        XNFDB_RETURN_IF_ERROR(context()->ReserveBytes(ApproxTupleBytes(key)));
-      }
-      g->index[std::move(key)].push_back(i);
+    if (null_key) continue;
+    if (context() != nullptr) {
+      XNFDB_RETURN_IF_ERROR(context()->ReserveBytes(ApproxTupleBytes(key)));
     }
+    const auto id = static_cast<uint32_t>(g->keys.Append(key));
+    g->key_rows.push_back(static_cast<uint32_t>(i));
+    g->index.Insert(HashRow(key), id, [&](uint32_t other) {
+      return RowsEqual(g->keys.Row(other), key);
+    });
   }
   g->index_built = true;
   return Status::Ok();
 }
 
+Result<bool> ExistsFilterOp::ResidualPasses(const GroupCheck& g,
+                                            const Tuple& outer, RowView row) {
+  if (g.residual.empty()) return true;
+  combined_.clear();
+  combined_.reserve(outer.size() + row.size());
+  combined_.insert(combined_.end(), outer.begin(), outer.end());
+  combined_.insert(combined_.end(), row.begin(), row.end());
+  for (const qgm::Expr* p : g.residual) {
+    XNFDB_ASSIGN_OR_RETURN(bool ok,
+                           EvalPredicate(*p, g.combined_layout, combined_));
+    if (!ok) return false;
+  }
+  return true;
+}
+
 Result<bool> ExistsFilterOp::GroupMatches(GroupCheck* g, const Tuple& outer) {
   if (!g->equi_outer.empty() && !naive_) {
     XNFDB_RETURN_IF_ERROR(EnsureIndex(g));
-    Tuple key;
-    key.reserve(g->equi_outer.size());
+    probe_key_.clear();
     for (const qgm::Expr* k : g->equi_outer) {
       XNFDB_ASSIGN_OR_RETURN(Value v, EvalExpr(*k, outer_layout_, outer));
       if (v.is_null()) return false;
-      key.push_back(std::move(v));
+      probe_key_.push_back(std::move(v));
     }
-    auto it = g->index.find(key);
-    if (it == g->index.end()) return false;
+    uint32_t m = g->index.Find(HashRow(probe_key_), [&](uint32_t id) {
+      return RowsEqual(g->keys.Row(id), probe_key_);
+    });
+    if (m == RowHashIndex::kNone) return false;
     if (g->residual.empty()) return true;
-    for (size_t idx : it->second) {
+    for (; m != RowHashIndex::kNone; m = g->index.NextDuplicate(m)) {
       if (stats_ != nullptr) ++stats_->exists_probes;
-      Tuple combined = outer;
-      const Tuple& group_row = (*g->rows)[idx];
-      combined.insert(combined.end(), group_row.begin(), group_row.end());
-      bool pass = true;
-      for (const qgm::Expr* p : g->residual) {
-        XNFDB_ASSIGN_OR_RETURN(bool ok,
-                               EvalPredicate(*p, g->combined_layout, combined));
-        if (!ok) {
-          pass = false;
-          break;
-        }
-      }
+      XNFDB_ASSIGN_OR_RETURN(
+          bool pass, ResidualPasses(*g, outer, g->rows->Row(g->key_rows[m])));
       if (pass) return true;
     }
     return false;
   }
   // Naive path: scan every materialized group row (this is the per-outer-row
   // subquery execution the rewrite optimization eliminates).
-  for (const Tuple& group_row : *g->rows) {
+  for (size_t r = 0; r < g->rows->size(); ++r) {
     if (stats_ != nullptr) ++stats_->exists_probes;
-    Tuple combined = outer;
-    combined.insert(combined.end(), group_row.begin(), group_row.end());
+    RowView group_row = g->rows->Row(r);
     bool pass = true;
     // In naive mode, equi pairs are evaluated like ordinary predicates.
     for (size_t i = 0; i < g->equi_outer.size(); ++i) {
@@ -816,14 +872,7 @@ Result<bool> ExistsFilterOp::GroupMatches(GroupCheck* g, const Tuple& outer) {
       }
     }
     if (pass) {
-      for (const qgm::Expr* p : g->residual) {
-        XNFDB_ASSIGN_OR_RETURN(bool ok,
-                               EvalPredicate(*p, g->combined_layout, combined));
-        if (!ok) {
-          pass = false;
-          break;
-        }
-      }
+      XNFDB_ASSIGN_OR_RETURN(pass, ResidualPasses(*g, outer, group_row));
     }
     if (pass) return true;
   }
@@ -883,6 +932,15 @@ Status UnionOp::OpenImpl() {
 Result<bool> UnionOp::NextImpl(Tuple* row) {
   while (current_ < children_.size()) {
     XNFDB_ASSIGN_OR_RETURN(bool more, children_[current_]->Next(row));
+    if (more) return true;
+    ++current_;
+  }
+  return false;
+}
+
+Result<bool> UnionOp::NextBatchImpl(TupleBatch* out) {
+  while (current_ < children_.size()) {
+    XNFDB_ASSIGN_OR_RETURN(bool more, children_[current_]->NextBatch(out));
     if (more) return true;
     ++current_;
   }

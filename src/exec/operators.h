@@ -18,7 +18,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -26,6 +25,7 @@
 #include "exec/batch.h"
 #include "exec/expr_eval.h"
 #include "exec/query_context.h"
+#include "exec/row_store.h"
 #include "qgm/qgm.h"
 #include "storage/table.h"
 
@@ -232,11 +232,16 @@ uint64_t PlanShapeHash(const std::string& shape);
 using OperatorPtr = std::unique_ptr<Operator>;
 
 // Drains `op` completely (Open/Next*/Close) into a vector. `batch_size`
-// selects the pull granularity; <= 1 keeps the classic row loop. When `ctx`
-// is set, every drained row's bytes are charged against its memory budget
-// (drains materialize: spools, existential group builds).
-Result<std::vector<Tuple>> DrainOperator(Operator* op, int batch_size = 1,
-                                         QueryContext* ctx = nullptr);
+// selects the pull granularity; <= 1 keeps the classic row loop.
+Result<std::vector<Tuple>> DrainOperator(Operator* op, int batch_size = 1);
+
+// The one materialization path of plan-time drains (spools, existential
+// group builds): drains `op` completely into `*out`, whose first chunk — and
+// the pull batch — are sized from the operator's row estimate. Rows are
+// copied out of the batch, so its slots keep their capacity. When `ctx` is
+// set, every drained row's bytes are charged against its memory budget.
+Status DrainInto(Operator* op, int batch_size, QueryContext* ctx,
+                 RowStore* out);
 
 // --- sources ---------------------------------------------------------------
 
@@ -421,8 +426,7 @@ class MatViewScanOp : public Operator {
 // Reader over a materialized (spooled) buffer.
 class MaterializedOp : public Operator {
  public:
-  MaterializedOp(std::shared_ptr<const std::vector<Tuple>> rows,
-                 ExecStats* stats)
+  MaterializedOp(std::shared_ptr<const RowStore> rows, ExecStats* stats)
       : rows_(std::move(rows)), stats_(stats) {}
 
   const char* Kind() const override { return "spool_read"; }
@@ -439,7 +443,7 @@ class MaterializedOp : public Operator {
   void ExplainImpl(int depth, std::string* out) const override;
 
  private:
-  std::shared_ptr<const std::vector<Tuple>> rows_;
+  std::shared_ptr<const RowStore> rows_;
   ExecStats* stats_;
   size_t pos_ = 0;
 };
@@ -514,17 +518,23 @@ class DistinctOp : public Operator {
 
  protected:
   Status OpenImpl() override {
-    seen_.clear();
+    seen_.Reset(child_->estimated_rows());
     return child_->Open();
   }
   Result<bool> NextImpl(Tuple* row) override;
+  // Pulls the child's batch into `out` and deselects rows seen before, the
+  // way FilterOp does — no row moves.
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override { child_->Close(); }
 
   void ExplainImpl(int depth, std::string* out) const override;
 
  private:
+  // True when `row` is new; the dedup set keeps a copy of it.
+  Result<bool> FirstSighting(const Tuple& row);
+
   OperatorPtr child_;
-  std::unordered_map<Tuple, bool, TupleHash, TupleEq> seen_;
+  RowSet seen_;
 };
 
 class SortOp : public Operator {
@@ -620,9 +630,12 @@ class HashJoinOp : public Operator {
   void ExplainImpl(int depth, std::string* out) const override;
 
  private:
-  // Evaluates the probe-side key exprs against `row`; true result means a
-  // usable (NULL-free) key in `*key`.
-  Result<bool> ProbeKey(const Tuple& row, Tuple* key) const;
+  // Drains the build side into build_rows_/build_keys_/build_index_.
+  Status Build();
+  // Evaluates the probe-side key exprs against `row` into probe_key_ and
+  // returns the first build row matching it (RowHashIndex::kNone when the
+  // key has a NULL or no build row matches).
+  Result<uint32_t> FirstMatch(const Tuple& row);
   // Emits all surviving build matches of left row `left` into `out`.
   Status ProbeInto(const Tuple& left, TupleBatch* out);
 
@@ -636,13 +649,18 @@ class HashJoinOp : public Operator {
   Layout combined_layout_;
   ExecStats* stats_;
 
-  std::unordered_map<Tuple, std::vector<Tuple>, TupleHash, TupleEq> build_;
+  // Build side: row i of build_rows_ has key row i of build_keys_; the
+  // index chains equal keys in build order, so matches come out in the
+  // order the build side produced them.
+  RowStore build_rows_;
+  RowStore build_keys_;
+  RowHashIndex build_index_;
   // All-ColRef probe keys resolve to flat column offsets once at Open.
   std::vector<size_t> left_key_cols_;
   bool left_keys_flat_ = false;
+  Tuple probe_key_;  // reused per probe
   Tuple current_left_;
-  const std::vector<Tuple>* matches_ = nullptr;
-  size_t match_pos_ = 0;
+  uint32_t match_ = RowHashIndex::kNone;  // next build match (row mode)
   std::unique_ptr<TupleBatch> left_batch_;  // probe-side batch (batch mode)
 };
 
@@ -692,7 +710,7 @@ class NLJoinOp : public Operator {
 struct GroupCheck {
   bool negated = false;  // NOT EXISTS / NOT IN semantics
 
-  std::shared_ptr<const std::vector<Tuple>> rows;  // group-side joined rows
+  std::shared_ptr<const RowStore> rows;  // group-side joined rows
   Layout group_layout;    // offsets within a group row (unshifted)
   Layout combined_layout; // outer layout + group layout shifted
 
@@ -705,8 +723,12 @@ struct GroupCheck {
 
   // Hash over `rows` keyed by equi_inner, built lazily by the first probe
   // that reaches this group (morsel workers each own a full plan clone, so
-  // a group is only ever probed — and built — by one thread).
-  std::unordered_map<Tuple, std::vector<size_t>, TupleHash, TupleEq> index;
+  // a group is only ever probed — and built — by one thread). Key row k of
+  // `keys` belongs to group row key_rows[k]; rows with a NULL key are not
+  // indexed.
+  RowStore keys;
+  std::vector<uint32_t> key_rows;
+  RowHashIndex index;
   bool index_built = false;
 };
 
@@ -751,6 +773,9 @@ class ExistsFilterOp : public Operator {
   Status EnsureIndex(GroupCheck* g);
   Result<bool> GroupMatches(GroupCheck* g, const Tuple& outer);
   Result<bool> RowPasses(const Tuple& row);
+  // Evaluates `g`'s residual predicates over `outer` + group row `row`.
+  Result<bool> ResidualPasses(const GroupCheck& g, const Tuple& outer,
+                              RowView row);
 
   OperatorPtr child_;
   std::vector<GroupCheck> groups_;
@@ -758,6 +783,8 @@ class ExistsFilterOp : public Operator {
   bool disjunctive_;
   bool naive_;
   ExecStats* stats_;
+  Tuple probe_key_;  // reused per probe
+  Tuple combined_;   // reused outer + group row for residual predicates
 };
 
 // --- set operations ------------------------------------------------------------
@@ -778,6 +805,7 @@ class UnionOp : public Operator {
  protected:
   Status OpenImpl() override;
   Result<bool> NextImpl(Tuple* row) override;
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override {
     for (auto& c : children_) c->Close();
   }

@@ -43,7 +43,7 @@ struct QueryLimits {
 // Rough heap footprint of one tuple: the Value slots plus owned string
 // payloads. An estimate, not an allocator audit — budgets bound runaway
 // materialization, they do not meter malloc.
-inline int64_t ApproxTupleBytes(const Tuple& row) {
+inline int64_t ApproxTupleBytes(RowView row) {
   int64_t bytes = static_cast<int64_t>(row.size() * sizeof(Value));
   for (const Value& v : row) {
     if (v.type() == DataType::kString) {

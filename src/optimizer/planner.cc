@@ -89,8 +89,7 @@ Result<OperatorPtr> Planner::BoxIterator(int box_id) {
   return op;
 }
 
-Result<std::shared_ptr<const std::vector<Tuple>>> Planner::MaterializeBox(
-    int box_id) {
+Result<std::shared_ptr<const RowStore>> Planner::MaterializeBox(int box_id) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   auto it = spools_.find(box_id);
   if (it != spools_.end()) return it->second;
@@ -98,13 +97,12 @@ Result<std::shared_ptr<const std::vector<Tuple>>> Planner::MaterializeBox(
   // Spool builds run plan-time: attach governance so a cancel/deadline/
   // budget cuts the drain short, and charge the spooled rows.
   if (options_.context != nullptr) op->AttachContext(options_.context);
-  XNFDB_ASSIGN_OR_RETURN(
-      std::vector<Tuple> rows,
-      DrainOperator(op.get(), options_.batch_size, options_.context));
+  auto rows = std::make_shared<RowStore>();
+  XNFDB_RETURN_IF_ERROR(DrainInto(op.get(), options_.batch_size,
+                                  options_.context, rows.get()));
   if (stats_ != nullptr) ++stats_->spool_builds;
-  auto shared = std::make_shared<const std::vector<Tuple>>(std::move(rows));
-  spools_[box_id] = shared;
-  return shared;
+  spools_[box_id] = rows;
+  return std::shared_ptr<const RowStore>(std::move(rows));
 }
 
 Table* Planner::OverrideFor(const std::string& name) const {
@@ -620,11 +618,10 @@ Result<OperatorPtr> Planner::CompileSelect(const Box& box) {
       XNFDB_ASSIGN_OR_RETURN(OperatorPtr gop,
                              BuildJoinTree(gquants, internal, &group_layout));
       if (options_.context != nullptr) gop->AttachContext(options_.context);
-      XNFDB_ASSIGN_OR_RETURN(
-          std::vector<Tuple> rows,
-          DrainOperator(gop.get(), options_.batch_size, options_.context));
-      check.rows =
-          std::make_shared<const std::vector<Tuple>>(std::move(rows));
+      auto rows = std::make_shared<RowStore>();
+      XNFDB_RETURN_IF_ERROR(DrainInto(gop.get(), options_.batch_size,
+                                      options_.context, rows.get()));
+      check.rows = std::move(rows);
       check.group_layout = group_layout;
       check.combined_layout = layout;
       check.combined_layout.Append(group_layout, layout.TotalWidth());

@@ -70,7 +70,7 @@ class Planner {
   Result<OperatorPtr> BoxIterator(int box_id);
 
   // Materialized head rows of `box_id` (cached).
-  Result<std::shared_ptr<const std::vector<Tuple>>> MaterializeBox(int box_id);
+  Result<std::shared_ptr<const RowStore>> MaterializeBox(int box_id);
 
   // Estimated output cardinality of `box_id`.
   double EstimateCard(int box_id);
@@ -110,7 +110,7 @@ class Planner {
   // Serializes compilation; recursive because materializing one box may
   // require materializing its inputs.
   std::recursive_mutex mu_;
-  std::map<int, std::shared_ptr<const std::vector<Tuple>>> spools_;
+  std::map<int, std::shared_ptr<const RowStore>> spools_;
   std::map<int, double> card_cache_;
 };
 

@@ -159,7 +159,10 @@ const HashIndex* Table::GetIndex(int column) const {
 }
 
 const ColumnStats& Table::GetColumnStats(int column) const {
-  if (!stats_valid_) ComputeStats();
+  if (!stats_valid_.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    if (!stats_valid_.load(std::memory_order_relaxed)) ComputeStats();
+  }
   return stats_[column];
 }
 
@@ -181,7 +184,7 @@ void Table::ComputeStats() const {
     }
     cs.distinct = distinct.size();
   }
-  stats_valid_ = true;
+  stats_valid_.store(true, std::memory_order_release);
 }
 
 }  // namespace xnfdb

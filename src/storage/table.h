@@ -6,9 +6,11 @@
 #ifndef XNFDB_STORAGE_TABLE_H_
 #define XNFDB_STORAGE_TABLE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -133,10 +135,15 @@ class Table {
   const OrderedIndex* GetOrderedIndex(int column) const;
 
   // Recomputed-on-demand column statistics (cached until next mutation).
+  // Concurrent readers may race to the first recompute after a mutation:
+  // one computes under stats_mu_, the rest wait and then read the result.
   const ColumnStats& GetColumnStats(int column) const;
 
  private:
-  void InvalidateStats() { stats_valid_ = false; }
+  void InvalidateStats() {
+    stats_valid_.store(false, std::memory_order_release);
+  }
+  // Requires stats_mu_.
   void ComputeStats() const;
 
   std::string name_;
@@ -147,7 +154,10 @@ class Table {
   std::vector<std::unique_ptr<HashIndex>> indexes_;
   std::vector<std::unique_ptr<OrderedIndex>> ordered_indexes_;
 
-  mutable bool stats_valid_ = false;
+  mutable std::mutex stats_mu_;
+  // Release-stored after stats_ is complete, so an acquire load that sees
+  // true also sees the computed stats.
+  mutable std::atomic<bool> stats_valid_{false};
   mutable std::vector<ColumnStats> stats_;
 };
 

@@ -1,8 +1,6 @@
 #include "xnf/fixpoint.h"
 
 #include <map>
-#include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/expr_eval.h"
@@ -37,23 +35,8 @@ Result<const Box*> FindXnf(const QueryGraph& graph) {
 
 // Value-interned candidate rows of one component.
 struct Candidates {
-  std::vector<Tuple> rows;
-  std::unordered_map<Tuple, size_t, TupleHash, TupleEq> index;
+  RowSet rows;
   std::vector<bool> reachable;
-
-  size_t Intern(const Tuple& row) {
-    auto [it, inserted] = index.emplace(row, rows.size());
-    if (inserted) {
-      rows.push_back(row);
-      reachable.push_back(false);
-    }
-    return it->second;
-  }
-  // Index of `row` or npos.
-  size_t Find(const Tuple& row) const {
-    auto it = index.find(row);
-    return it == index.end() ? static_cast<size_t>(-1) : it->second;
-  }
 };
 
 // One candidate connection: partner row indexes, parent first.
@@ -85,17 +68,6 @@ Result<std::vector<int>> ProjectionIndexes(const Box& box,
   return out;
 }
 
-Tuple Slice(const Tuple& row, size_t offset, size_t arity) {
-  return Tuple(row.begin() + offset, row.begin() + offset + arity);
-}
-
-Tuple Project(const Tuple& row, const std::vector<int>& cols) {
-  Tuple out;
-  out.reserve(cols.size());
-  for (int c : cols) out.push_back(row[c]);
-  return out;
-}
-
 }  // namespace
 
 Result<QueryResult> ExecuteXnfFixpoint(const Catalog& catalog,
@@ -115,18 +87,18 @@ Result<QueryResult> ExecuteXnfFixpoint(const Catalog& catalog,
     if (c.is_relationship) continue;
     XNFDB_ASSIGN_OR_RETURN(auto rows, planner.MaterializeBox(c.box_id));
     Candidates& cand = candidates[c.name];
-    for (const Tuple& row : *rows) {
+    cand.rows.Reset(static_cast<double>(rows->size()));
+    for (size_t i = 0; i < rows->size(); ++i) {
+      RowView row = rows->Row(i);
       // The interning table holds a second copy of each candidate row on
       // top of the spool charged inside MaterializeBox.
       if (ctx != nullptr) {
         XNFDB_RETURN_IF_ERROR(ctx->ReserveBytes(ApproxTupleBytes(row)));
       }
-      cand.Intern(row);
+      cand.rows.Intern(row);
     }
     total_candidates += cand.rows.size();
-    if (c.is_root || !c.reachable) {
-      cand.reachable.assign(cand.rows.size(), true);
-    }
+    cand.reachable.assign(cand.rows.size(), c.is_root || !c.reachable);
     if (ctx != nullptr) XNFDB_RETURN_IF_ERROR(ctx->Check());
   }
 
@@ -135,21 +107,24 @@ Result<QueryResult> ExecuteXnfFixpoint(const Catalog& catalog,
   for (const XnfComponent& r : xnf->components) {
     if (!r.is_relationship) continue;
     XNFDB_ASSIGN_OR_RETURN(auto rows, planner.MaterializeBox(r.box_id));
-    std::vector<std::string> partners;
-    partners.push_back(r.parent);
-    for (const std::string& c : r.children) partners.push_back(c);
+    std::vector<const Candidates*> partners;
+    std::vector<size_t> arities;
+    for (size_t pi = 0; pi <= r.children.size(); ++pi) {
+      const std::string& name = pi == 0 ? r.parent : r.children[pi - 1];
+      partners.push_back(&candidates[name]);
+      arities.push_back(
+          graph.box(xnf->FindComponent(name)->box_id)->HeadArity());
+    }
     std::vector<CandidateConnection>& conns = connections[r.name];
-    for (const Tuple& row : *rows) {
+    for (size_t i = 0; i < rows->size(); ++i) {
+      RowView row = rows->Row(i);
       CandidateConnection conn;
       size_t offset = 0;
       bool ok = true;
-      for (const std::string& partner : partners) {
-        const XnfComponent* pc = xnf->FindComponent(partner);
-        size_t arity = graph.box(pc->box_id)->HeadArity();
-        Tuple part = Slice(row, offset, arity);
-        offset += arity;
-        size_t idx = candidates[partner].Find(part);
-        if (idx == static_cast<size_t>(-1)) {
+      for (size_t pi = 0; pi < partners.size(); ++pi) {
+        size_t idx = partners[pi]->rows.Find(row.subspan(offset, arities[pi]));
+        offset += arities[pi];
+        if (idx == RowSet::kNotFound) {
           ok = false;  // partner row filtered out of its candidates
           break;
         }
@@ -192,21 +167,18 @@ Result<QueryResult> ExecuteXnfFixpoint(const Catalog& catalog,
     }
   }
 
-  // 4. Emit the heterogeneous stream, mirroring the rewrite path's shape.
-  struct TidMap {
-    std::unordered_map<Tuple, TupleId, TupleHash, TupleEq> ids;
-    TupleId next = 0;
-  };
-  std::map<std::string, TidMap> tids;
+  // 4. Emit the heterogeneous stream, mirroring the rewrite path's shape:
+  // one OutputBuffer per output, concatenated in output order.
+  std::vector<OutputBuffer> buffers;
   std::map<std::string, std::vector<int>> take_cols;
   std::map<std::string, int> output_index;
+  Tuple scratch;
 
   for (const XnfComponent& c : xnf->components) {
     if (c.is_relationship || !c.taken) continue;
     const Box* box = graph.box(c.box_id);
     XNFDB_ASSIGN_OR_RETURN(std::vector<int> cols,
                            ProjectionIndexes(*box, c.take_columns));
-    take_cols[c.name] = cols;
     OutputDesc desc;
     desc.name = c.name;
     for (int col : cols) {
@@ -216,28 +188,26 @@ Result<QueryResult> ExecuteXnfFixpoint(const Catalog& catalog,
       column.type = t.ok() ? t.value() : DataType::kNull;
       desc.schema.AddColumn(std::move(column));
     }
-    output_index[c.name] = static_cast<int>(result.outputs.size());
+    const int out_idx = static_cast<int>(result.outputs.size());
+    output_index[c.name] = out_idx;
     result.outputs.push_back(std::move(desc));
+    buffers.emplace_back(out_idx);
 
-    Candidates& cand = candidates[c.name];
-    TidMap& map = tids[c.name];
+    const Candidates& cand = candidates[c.name];
     for (size_t i = 0; i < cand.rows.size(); ++i) {
       if (!cand.reachable[i]) continue;
-      Tuple projected = Project(cand.rows[i], cols);
-      auto [it, inserted] = map.ids.emplace(projected, map.next);
-      if (!inserted) continue;
-      ++map.next;
+      if (!buffers[out_idx]
+               .InternRow(ProjectCols(cand.rows.Row(i), cols, &scratch))
+               .second) {
+        continue;
+      }
       if (ctx != nullptr) XNFDB_RETURN_IF_ERROR(ctx->ChargeOutputRows(1));
-      StreamItem item;
-      item.kind = StreamItem::Kind::kRow;
-      item.output = output_index[c.name];
-      item.tid = it->second;
-      item.values = std::move(projected);
       ++result.stats.rows_output;
-      result.stream.push_back(std::move(item));
     }
+    take_cols[c.name] = std::move(cols);
   }
 
+  std::vector<TupleId> partner_tids;  // reused per connection
   for (const XnfComponent& r : xnf->components) {
     if (!r.is_relationship || !r.taken) continue;
     std::vector<std::string> partners;
@@ -247,41 +217,39 @@ Result<QueryResult> ExecuteXnfFixpoint(const Catalog& catalog,
     desc.name = r.name;
     desc.is_connection = true;
     desc.partner_names = partners;
-    int out_idx = static_cast<int>(result.outputs.size());
+    const int out_idx = static_cast<int>(result.outputs.size());
     result.outputs.push_back(std::move(desc));
+    buffers.emplace_back(out_idx);
 
-    std::set<std::vector<TupleId>> seen;
     for (const CandidateConnection& conn : connections[r.name]) {
       // A connection exists in the CO iff all its partners do.
       bool all_reachable = true;
-      std::vector<TupleId> partner_tids;
+      partner_tids.clear();
       for (size_t pi = 0; pi < partners.size(); ++pi) {
-        Candidates& cand = candidates[partners[pi]];
-        if (!cand.reachable[conn.partners[pi]]) {
-          all_reachable = false;
+        const Candidates& cand = candidates[partners[pi]];
+        auto oit = output_index.find(partners[pi]);
+        TupleId tid = -1;
+        if (cand.reachable[conn.partners[pi]] && oit != output_index.end()) {
+          tid = buffers[oit->second].FindRow(
+              ProjectCols(cand.rows.Row(conn.partners[pi]),
+                          take_cols[partners[pi]], &scratch));
+        }
+        if (tid < 0) {
+          all_reachable = false;  // unreachable, or not taken/emitted
           break;
         }
-        Tuple projected =
-            Project(cand.rows[conn.partners[pi]], take_cols[partners[pi]]);
-        auto it = tids[partners[pi]].ids.find(projected);
-        if (it == tids[partners[pi]].ids.end()) {
-          all_reachable = false;  // partner not taken/emitted
-          break;
-        }
-        partner_tids.push_back(it->second);
+        partner_tids.push_back(tid);
       }
       if (!all_reachable) continue;
-      if (!seen.insert(partner_tids).second) continue;
+      if (!buffers[out_idx].AddConnection(partner_tids)) continue;
       if (ctx != nullptr) XNFDB_RETURN_IF_ERROR(ctx->ChargeOutputRows(1));
-      StreamItem item;
-      item.kind = StreamItem::Kind::kConnection;
-      item.output = out_idx;
-      item.tids = std::move(partner_tids);
       ++result.stats.rows_output;
-      result.stream.push_back(std::move(item));
     }
   }
 
+  for (OutputBuffer& b : buffers) {
+    for (StreamItem& item : b.items()) result.stream.push_back(std::move(item));
+  }
   if (options.metrics != nullptr) result.stats.PublishTo(options.metrics);
   return result;
 }

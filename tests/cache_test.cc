@@ -176,7 +176,9 @@ TEST_P(CacheTest, InsertAndDeleteWriteBack) {
 }
 
 TEST_P(CacheTest, SaveAndLoadRoundTrips) {
-  std::string path = ::testing::TempDir() + "/xnfcache_roundtrip.xc";
+  // One file per parameter: ctest runs the two instances concurrently.
+  std::string path = ::testing::TempDir() + "/xnfcache_roundtrip_" +
+                     (GetParam() ? "swizzled" : "tid") + ".xc";
   ASSERT_TRUE(cache_->SaveTo(path).ok());
   XNFCache::Options options;
   options.workspace.swizzle = GetParam();

@@ -122,7 +122,7 @@ TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value("abc").Hash(), Value("abc").Hash());
   Tuple a{Value(int64_t{1}), Value("x")};
   Tuple b{Value(int64_t{1}), Value("x")};
-  EXPECT_EQ(HashTuple(a), HashTuple(b));
+  EXPECT_EQ(HashRow(a), HashRow(b));
 }
 
 TEST(ValueTest, OrderingPutsNullFirst) {

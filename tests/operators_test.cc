@@ -17,9 +17,15 @@ using qgm::ExprPtr;
 
 Tuple Row(int64_t a, int64_t b) { return {Value(a), Value(b)}; }
 
-OperatorPtr Source(std::vector<Tuple> rows, ExecStats* stats = nullptr) {
-  auto shared = std::make_shared<const std::vector<Tuple>>(std::move(rows));
-  return std::make_unique<MaterializedOp>(shared, stats);
+std::shared_ptr<const RowStore> Store(const std::vector<Tuple>& rows) {
+  auto store = std::make_shared<RowStore>();
+  store->Reset(static_cast<double>(rows.size()));
+  for (const Tuple& row : rows) store->Append(row);
+  return store;
+}
+
+OperatorPtr Source(const std::vector<Tuple>& rows, ExecStats* stats = nullptr) {
+  return std::make_unique<MaterializedOp>(Store(rows), stats);
 }
 
 // A fake quantifier layout: quantifier 0 with two columns at offset 0.
@@ -187,6 +193,58 @@ TEST(OperatorsTest, AggregationPerGroupAndGlobal) {
   }
 }
 
+// Rows keep their values across the first (estimate-sized) chunk and the
+// fixed-size chunks after it, and a row's address survives growth.
+TEST(RowStoreTest, RowsSurviveChunkBoundaries) {
+  RowStore store;
+  store.Reset(3.0);  // first chunk: 3 rows
+  const size_t n = 3 + 2 * RowStore::kChunkRows + 5;
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(store.Append(Row(static_cast<int64_t>(i), -1)), i);
+  }
+  const Value* first = store.Row(0).data();
+  store.Append(Row(-1, -1));
+  EXPECT_EQ(store.Row(0).data(), first);
+  ASSERT_EQ(store.size(), n + 1);
+  EXPECT_EQ(store.width(), 2u);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(store.Row(i)[0].AsInt(), static_cast<int64_t>(i));
+  }
+}
+
+// Equal keys chain in insertion order across table growth; NULLs form one
+// key class and 2 = 2.0.
+TEST(RowStoreTest, HashIndexChainsDuplicatesInInsertionOrder) {
+  RowStore keys;
+  keys.Reset(-1.0);
+  RowHashIndex index;
+  auto insert = [&](Tuple key) {
+    const auto id = static_cast<uint32_t>(keys.Append(key));
+    index.Insert(HashRow(key), id, [&](uint32_t other) {
+      return RowsEqual(keys.Row(other), key);
+    });
+  };
+  for (int i = 0; i < 500; ++i) insert({Value(int64_t{i % 7})});
+  insert({Value()});
+  insert({Value()});
+  auto find = [&](const Tuple& key) {
+    return index.Find(HashRow(key), [&](uint32_t id) {
+      return RowsEqual(keys.Row(id), key);
+    });
+  };
+  std::vector<uint32_t> twos;
+  for (uint32_t m = find({Value(2.0)}); m != RowHashIndex::kNone;
+       m = index.NextDuplicate(m)) {
+    twos.push_back(m);
+  }
+  ASSERT_EQ(twos.size(), 72u);  // 2, 9, 16, ... 499
+  for (size_t i = 0; i < twos.size(); ++i) EXPECT_EQ(twos[i], 2 + 7 * i);
+  const uint32_t null_head = find({Value()});
+  EXPECT_EQ(null_head, 500u);
+  EXPECT_EQ(index.NextDuplicate(null_head), 501u);
+  EXPECT_EQ(find({Value(int64_t{7})}), RowHashIndex::kNone);
+}
+
 TEST(OperatorsTest, ExistsFilterConjunctiveVsDisjunctive) {
   // Outer rows keyed on col0; two groups: g1 matches keys {1,2},
   // g2 matches keys {2,3}.
@@ -195,7 +253,7 @@ TEST(OperatorsTest, ExistsFilterConjunctiveVsDisjunctive) {
     GroupCheck g;
     std::vector<Tuple> rows;
     for (int64_t k : keys) rows.push_back({Value(k)});
-    g.rows = std::make_shared<const std::vector<Tuple>>(std::move(rows));
+    g.rows = Store(rows);
     g.group_layout.Add(100, 0, 1);
     g.combined_layout = TwoColLayout(0);
     g.combined_layout.Append(g.group_layout, 2);

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+#include <vector>
+
 #include "storage/catalog.h"
 #include "storage/table.h"
 
@@ -92,6 +96,27 @@ TEST(TableTest, StatsTrackDistinctAndMinMax) {
   // Stats are invalidated by mutation.
   t.Insert(Emp(4, "d", 30)).value();
   EXPECT_EQ(t.GetColumnStats(2).distinct, 3u);
+}
+
+// Two first-plans after a DML both find the stats invalid and race to
+// recompute them (the planner's selectivity estimates read them lazily).
+// One must compute while the other waits; both read the complete result.
+// Run under TSan, this reproduces the former unsynchronized recompute.
+TEST(TableTest, ConcurrentFirstReadsAfterMutationAgreeOnStats) {
+  Table t("EMP", EmpSchema());
+  for (int round = 0; round < 20; ++round) {
+    t.Insert(Emp(round, "e", round % 5)).value();  // invalidates the stats
+    std::vector<size_t> seen(2);
+    std::vector<std::thread> readers;
+    for (int i = 0; i < 2; ++i) {
+      readers.emplace_back(
+          [&t, &seen, i] { seen[i] = t.GetColumnStats(2).distinct; });
+    }
+    for (std::thread& r : readers) r.join();
+    const size_t want = static_cast<size_t>(std::min(round + 1, 5));
+    EXPECT_EQ(seen[0], want);
+    EXPECT_EQ(seen[1], want);
+  }
 }
 
 TEST(CatalogTest, CreateGetDropTable) {
