@@ -467,7 +467,7 @@ Result<QueryResult> Database::ServeMatView(
       if (od.desc.is_connection != (pass == 1)) continue;
       if (!od.desc.is_connection) {
         // Rows are pulled through a real MatViewScanOp so stats, profiling
-        // and per-row cancellation behave exactly like an execution, and
+        // and per-batch cancellation behave exactly like an execution, and
         // the plan shape carries the matview provenance SYS$PLAN_HISTORY
         // records the flip under.
         auto rows_sp =
@@ -476,20 +476,25 @@ Result<QueryResult> Database::ServeMatView(
         if (ctx != nullptr) op.AttachContext(ctx);
         if (eo.collect_profile) op.EnableProfile();
         XNFDB_RETURN_IF_ERROR(op.Open());
-        Tuple row;
+        TupleBatch batch(BatchCapacityFor(
+            static_cast<double>(od.rows.size()),
+            static_cast<size_t>(ResolveBatchSize(eo.batch_size))));
         size_t i = 0;
         while (true) {
-          XNFDB_ASSIGN_OR_RETURN(bool more, op.Next(&row));
+          XNFDB_ASSIGN_OR_RETURN(bool more, op.NextBatch(&batch));
           if (!more) break;
-          StreamItem item;
-          item.kind = StreamItem::Kind::kRow;
-          item.output = static_cast<int>(oi);
-          item.tid = od.tids[i++];
-          item.values = std::move(row);
-          row = Tuple();
-          r.stream.push_back(std::move(item));
-          if (ctx != nullptr) XNFDB_RETURN_IF_ERROR(ctx->ChargeOutputRows(1));
-          ++rows_emitted;
+          for (size_t b = 0; b < batch.ActiveCount(); ++b) {
+            StreamItem item;
+            item.kind = StreamItem::Kind::kRow;
+            item.output = static_cast<int>(oi);
+            item.tid = od.tids[i++];
+            item.values = std::move(batch.Active(b));
+            r.stream.push_back(std::move(item));
+            if (ctx != nullptr) {
+              XNFDB_RETURN_IF_ERROR(ctx->ChargeOutputRows(1));
+            }
+            ++rows_emitted;
+          }
         }
         if (eo.analyze) {
           std::string plan = "output " + od.desc.name + ":\n";

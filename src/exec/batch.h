@@ -1,4 +1,5 @@
-// Batch-at-a-time execution support (MonetDB/X100-style vectorization).
+// Batch-at-a-time execution support (MonetDB/X100-style vectorization):
+// the one unit every operator produces and consumes (Operator::NextBatch).
 //
 // A TupleBatch is a fixed-capacity block of rows plus a selection vector of
 // active row indices. Producers append rows densely (PushRow activates the
@@ -7,8 +8,8 @@
 // Consumers iterate Active(i) for i in [0, ActiveCount()).
 //
 // NextBatch(batch) returning true with ActiveCount() == 0 is legal (a fully
-// filtered batch); only `false` means end of stream. batch_size = 1
-// degenerates to the classic tuple-at-a-time Volcano pipeline.
+// filtered batch); only `false` means end of stream. batch_size = 1 is a
+// batch of one, through the same operator code as any other size.
 
 #ifndef XNFDB_EXEC_BATCH_H_
 #define XNFDB_EXEC_BATCH_H_
@@ -54,8 +55,17 @@ class TupleBatch {
   }
 
   size_t capacity() const { return capacity_; }
-  // Producers stop appending at capacity; operators with match fan-out
-  // (joins) may overshoot it rather than carry state across calls.
+  // Changes the capacity; the pooled row storage is kept (and grown to
+  // the new capacity up front). Operators size their child-side batches to
+  // their output batch (or, for LIMIT, to the rows still owed) with this
+  // before each pull.
+  void set_capacity(size_t capacity) {
+    capacity_ = capacity == 0 ? 1 : capacity;
+    rows_.reserve(capacity_);
+    sel_.reserve(capacity_);
+  }
+  // Producers stop appending at capacity; the hash join, whose matches fan
+  // out, may overshoot it rather than carry probe state across calls.
   bool Full() const { return size_ >= capacity_; }
   bool Empty() const { return size_ == 0; }
 

@@ -106,23 +106,13 @@ Rid ResolveMorselRows(int64_t requested) {
       ParseEnvInt("XNFDB_MORSEL_ROWS", 1, int64_t{1} << 30, 2048));
 }
 
-// Pulls every row out of `op` (already Open) at the requested granularity
-// and hands each to `emit` (const Tuple& -> Status); rows stay in their
-// batch slots, which keep their capacity for the next batch. batch_size
-// <= 1 keeps the classic row-at-a-time pull; otherwise each delivered
-// batch bumps `batches_emitted`.
+// Pulls every row out of `op` (already Open) in batches of up to
+// `batch_size` rows and hands each to `emit` (const Tuple& -> Status); rows
+// stay in their batch slots, which keep their capacity for the next batch.
+// Each delivered batch bumps `batches_emitted`.
 template <typename EmitFn>
 Status PullRows(Operator* op, int batch_size, StatCounter* batches_emitted,
                 const EmitFn& emit) {
-  if (batch_size <= 1) {
-    Tuple row;
-    while (true) {
-      XNFDB_ASSIGN_OR_RETURN(bool more, op->Next(&row));
-      if (!more) break;
-      XNFDB_RETURN_IF_ERROR(emit(row));
-    }
-    return Status::Ok();
-  }
   TupleBatch batch(BatchCapacityFor(op->estimated_rows(),
                                     static_cast<size_t>(batch_size)));
   while (true) {

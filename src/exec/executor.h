@@ -134,7 +134,7 @@ struct ExecOptions {
   int parallel_workers = 1;
   // Rows pulled per executor batch from every output's plan root (and used
   // for plan-time spool materialization). 0 = XNFDB_BATCH_SIZE env var or
-  // 1024; 1 reproduces tuple-at-a-time execution exactly.
+  // 1024; 1 pulls batches of one row through the same operator code.
   int batch_size = 0;
   // Morsel-driven intra-plan parallelism: when > 1 and an output's plan is
   // a streaming scan pipeline (filters/projections/join probe sides over a
@@ -149,8 +149,8 @@ struct ExecOptions {
   // fill QueryResult::plan_texts with annotated plan trees.
   bool analyze = false;
   // Always-on profiling: one walk per finished plan tree folds its actuals
-  // into QueryResult::profile (batch-granularity wall time: Open/NextBatch
-  // only — the per-row Next path is never timed) and its estimated-vs-actual
+  // into QueryResult::profile (batch-granularity wall time around every
+  // operator's Open/NextBatch/Close) and its estimated-vs-actual
   // rows into QueryResult::feedback, and the plan shape is hashed into
   // plan_hash/plan_shape. Cheap enough to leave on; XNFDB_QUERY_PROFILES=0
   // turns it off via Database.

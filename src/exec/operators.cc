@@ -67,32 +67,6 @@ Status Operator::Open() {
   return s;
 }
 
-Result<bool> Operator::Next(Tuple* row) {
-  // Row-at-a-time governance: the cancellation flag is one atomic load, so
-  // it is checked on every call; the deadline needs a clock read, so it is
-  // only re-checked once per kDefaultBatchSize rows (a synthetic batch
-  // boundary for the Volcano path).
-  if (ctx_ != nullptr) {
-    if (ctx_->cancelled()) return Result<bool>(ctx_->CheckCancelled());
-    if (++gov_tick_ >= kDefaultBatchSize) {
-      gov_tick_ = 0;
-      ctx_->Tick();  // watchdog heartbeat at the synthetic batch boundary
-      Status s = ctx_->Check();
-      if (!s.ok()) return Result<bool>(std::move(s));
-    }
-  }
-  if (!analyze_) {
-    Result<bool> r = NextImpl(row);
-    if (r.ok() && r.value()) ++actuals_.rows;
-    return r;
-  }
-  auto t0 = std::chrono::steady_clock::now();
-  Result<bool> r = NextImpl(row);
-  actuals_.ns += ElapsedNs(t0);
-  if (r.ok() && r.value()) ++actuals_.rows;
-  return r;
-}
-
 Result<bool> Operator::NextBatch(TupleBatch* out) {
   out->Clear();
   if (ctx_ != nullptr) {
@@ -118,19 +92,6 @@ Result<bool> Operator::NextBatch(TupleBatch* out) {
   return r;
 }
 
-Result<bool> Operator::NextBatchImpl(TupleBatch* out) {
-  while (!out->Full()) {
-    Tuple& row = out->AppendRow();  // filled in place to reuse slot buffers
-    Result<bool> more = NextImpl(&row);
-    if (!more.ok()) return more.status();
-    if (!more.value()) {
-      out->DropLastRow();
-      break;
-    }
-  }
-  return !out->Empty();
-}
-
 void Operator::Close() {
   if (!analyze_ && !profile_) {
     CloseImpl();
@@ -153,7 +114,6 @@ void Operator::EnableProfile() {
 
 void Operator::AttachContext(QueryContext* ctx) {
   ctx_ = ctx;
-  gov_tick_ = 0;
   for (Operator* c : Children()) c->AttachContext(ctx);
 }
 
@@ -230,29 +190,45 @@ uint64_t PlanShapeHash(const std::string& shape) {
 namespace {
 
 // Opens `op`, hands every row it produces to `keep` (const Tuple& ->
-// Status) at the requested pull granularity, and closes it.
+// Status) in batches of up to `batch_size` rows, and closes it.
 template <typename KeepFn>
 Status DrainRows(Operator* op, int batch_size, const KeepFn& keep) {
   XNFDB_RETURN_IF_ERROR(op->Open());
-  if (batch_size <= 1) {
-    Tuple row;
-    while (true) {
-      XNFDB_ASSIGN_OR_RETURN(bool more, op->Next(&row));
-      if (!more) break;
-      XNFDB_RETURN_IF_ERROR(keep(row));
-    }
-  } else {
-    TupleBatch batch(BatchCapacityFor(op->estimated_rows(),
-                                      static_cast<size_t>(batch_size)));
-    while (true) {
-      XNFDB_ASSIGN_OR_RETURN(bool more, op->NextBatch(&batch));
-      if (!more) break;
-      for (size_t i = 0; i < batch.ActiveCount(); ++i) {
-        XNFDB_RETURN_IF_ERROR(keep(batch.Active(i)));
-      }
+  TupleBatch batch(BatchCapacityFor(
+      op->estimated_rows(), static_cast<size_t>(std::max(batch_size, 1))));
+  while (true) {
+    XNFDB_ASSIGN_OR_RETURN(bool more, op->NextBatch(&batch));
+    if (!more) break;
+    for (size_t i = 0; i < batch.ActiveCount(); ++i) {
+      XNFDB_RETURN_IF_ERROR(keep(batch.Active(i)));
     }
   }
   op->Close();
+  return Status::Ok();
+}
+
+// True when every predicate in `preds` holds for `row`.
+Result<bool> AllPass(const std::vector<const qgm::Expr*>& preds,
+                     const Layout& layout, RowView row) {
+  for (const qgm::Expr* p : preds) {
+    XNFDB_ASSIGN_OR_RETURN(bool ok, EvalPredicate(*p, layout, row));
+    if (!ok) return false;
+  }
+  return true;
+}
+
+// Appends `left` ++ `right` to `out`, built in the new slot (reusing its
+// capacity), and retracts it unless every predicate in `preds` holds.
+Status AppendJoined(const Tuple& left, RowView right,
+                    const std::vector<const qgm::Expr*>& preds,
+                    const Layout& layout, TupleBatch* out) {
+  Tuple& combined = out->AppendRow();
+  combined.clear();
+  combined.reserve(left.size() + right.size());
+  combined.insert(combined.end(), left.begin(), left.end());
+  combined.insert(combined.end(), right.begin(), right.end());
+  XNFDB_ASSIGN_OR_RETURN(bool pass, AllPass(preds, layout, combined));
+  if (!pass) out->DropLastRow();
   return Status::Ok();
 }
 
@@ -296,20 +272,6 @@ bool ScanOp::ClaimMorsel() {
   return true;
 }
 
-Result<bool> ScanOp::NextImpl(Tuple* row) {
-  while (true) {
-    Rid end = morsels_ != nullptr ? morsel_end_ : table_->rid_bound();
-    while (rid_ < end) {
-      Rid r = rid_++;
-      if (!table_->IsLive(r)) continue;
-      *row = table_->Get(r);
-      if (stats_ != nullptr) ++stats_->rows_scanned;
-      return true;
-    }
-    if (morsels_ == nullptr || !ClaimMorsel()) return false;
-  }
-}
-
 Result<bool> ScanOp::NextBatchImpl(TupleBatch* out) {
   while (!out->Full()) {
     Rid end = morsels_ != nullptr ? morsel_end_ : table_->rid_bound();
@@ -336,11 +298,12 @@ Status VirtualScanOp::OpenImpl() {
   return Status::Ok();
 }
 
-Result<bool> VirtualScanOp::NextImpl(Tuple* row) {
-  if (pos_ >= rows_.size()) return false;
-  *row = rows_[pos_++];
-  if (stats_ != nullptr) ++stats_->rows_scanned;
-  return true;
+Result<bool> VirtualScanOp::NextBatchImpl(TupleBatch* out) {
+  while (pos_ < rows_.size() && !out->Full()) {
+    out->AppendRow() = rows_[pos_++];
+    if (stats_ != nullptr) ++stats_->rows_scanned;
+  }
+  return !out->Empty();
 }
 
 Status IndexScanOp::OpenImpl() {
@@ -354,16 +317,15 @@ Status IndexScanOp::OpenImpl() {
   return Status::Ok();
 }
 
-Result<bool> IndexScanOp::NextImpl(Tuple* row) {
+Result<bool> IndexScanOp::NextBatchImpl(TupleBatch* out) {
   if (rids_ == nullptr) return false;
-  while (pos_ < rids_->size()) {
+  while (pos_ < rids_->size() && !out->Full()) {
     Rid r = (*rids_)[pos_++];
     if (!table_->IsLive(r)) continue;
-    *row = table_->Get(r);
+    out->AppendRow() = table_->Get(r);
     if (stats_ != nullptr) ++stats_->rows_scanned;
-    return true;
   }
-  return false;
+  return !out->Empty();
 }
 
 Status RangeScanOp::OpenImpl() {
@@ -380,22 +342,14 @@ Status RangeScanOp::OpenImpl() {
   return Status::Ok();
 }
 
-Result<bool> RangeScanOp::NextImpl(Tuple* row) {
-  while (pos_ < rids_.size()) {
+Result<bool> RangeScanOp::NextBatchImpl(TupleBatch* out) {
+  while (pos_ < rids_.size() && !out->Full()) {
     Rid r = rids_[pos_++];
     if (!table_->IsLive(r)) continue;
-    *row = table_->Get(r);
+    out->AppendRow() = table_->Get(r);
     if (stats_ != nullptr) ++stats_->rows_scanned;
-    return true;
   }
-  return false;
-}
-
-Result<bool> MaterializedOp::NextImpl(Tuple* row) {
-  if (pos_ >= rows_->size()) return false;
-  rows_->CopyRow(pos_++, row);
-  if (stats_ != nullptr) ++stats_->spool_read_rows;
-  return true;
+  return !out->Empty();
 }
 
 Result<bool> MaterializedOp::NextBatchImpl(TupleBatch* out) {
@@ -405,13 +359,6 @@ Result<bool> MaterializedOp::NextBatchImpl(TupleBatch* out) {
   }
   if (!out->Empty() && stats_ != nullptr) ++stats_->batches_spool;
   return !out->Empty();
-}
-
-Result<bool> MatViewScanOp::NextImpl(Tuple* row) {
-  if (pos_ >= rows_->size()) return false;
-  *row = (*rows_)[pos_++];
-  if (stats_ != nullptr) ++stats_->spool_read_rows;
-  return true;
 }
 
 Result<bool> MatViewScanOp::NextBatchImpl(TupleBatch* out) {
@@ -425,22 +372,6 @@ Result<bool> MatViewScanOp::NextBatchImpl(TupleBatch* out) {
 
 // --- row transforms -----------------------------------------------------------
 
-Result<bool> FilterOp::NextImpl(Tuple* row) {
-  while (true) {
-    XNFDB_ASSIGN_OR_RETURN(bool more, child_->Next(row));
-    if (!more) return false;
-    bool pass = true;
-    for (const qgm::Expr* p : preds_) {
-      XNFDB_ASSIGN_OR_RETURN(bool ok, EvalPredicate(*p, layout_, *row));
-      if (!ok) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) return true;
-  }
-}
-
 Result<bool> FilterOp::NextBatchImpl(TupleBatch* out) {
   XNFDB_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));
   if (!more) return false;
@@ -448,15 +379,8 @@ Result<bool> FilterOp::NextBatchImpl(TupleBatch* out) {
   std::vector<uint32_t>& sel = out->sel();
   size_t kept = 0;
   for (size_t i = 0; i < sel.size(); ++i) {
-    const Tuple& row = out->rows()[sel[i]];
-    bool pass = true;
-    for (const qgm::Expr* p : preds_) {
-      XNFDB_ASSIGN_OR_RETURN(bool ok, EvalPredicate(*p, layout_, row));
-      if (!ok) {
-        pass = false;
-        break;
-      }
-    }
+    XNFDB_ASSIGN_OR_RETURN(bool pass,
+                           AllPass(preds_, layout_, out->rows()[sel[i]]));
     if (pass) sel[kept++] = sel[i];
   }
   sel.resize(kept);
@@ -464,27 +388,12 @@ Result<bool> FilterOp::NextBatchImpl(TupleBatch* out) {
   return true;
 }
 
-Result<bool> ProjectOp::NextImpl(Tuple* row) {
-  Tuple input;
-  XNFDB_ASSIGN_OR_RETURN(bool more, child_->Next(&input));
-  if (!more) return false;
-  row->clear();
-  row->reserve(exprs_.size());
-  for (const qgm::Expr* e : exprs_) {
-    XNFDB_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, layout_, input));
-    row->push_back(std::move(v));
-  }
-  return true;
-}
-
 Result<bool> ProjectOp::NextBatchImpl(TupleBatch* out) {
-  if (in_ == nullptr || in_->capacity() != out->capacity()) {
-    in_ = std::make_unique<TupleBatch>(out->capacity());
-  }
-  XNFDB_ASSIGN_OR_RETURN(bool more, child_->NextBatch(in_.get()));
+  in_.set_capacity(out->capacity());
+  XNFDB_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&in_));
   if (!more) return false;
-  for (size_t i = 0; i < in_->ActiveCount(); ++i) {
-    const Tuple& input = in_->Active(i);
+  for (size_t i = 0; i < in_.ActiveCount(); ++i) {
+    const Tuple& input = in_.Active(i);
     Tuple& row = out->AppendRow();  // reuses the slot's vector capacity
     row.clear();
     row.reserve(exprs_.size());
@@ -505,15 +414,6 @@ Result<bool> DistinctOp::FirstSighting(const Tuple& row) {
   return true;
 }
 
-Result<bool> DistinctOp::NextImpl(Tuple* row) {
-  while (true) {
-    XNFDB_ASSIGN_OR_RETURN(bool more, child_->Next(row));
-    if (!more) return false;
-    XNFDB_ASSIGN_OR_RETURN(bool first, FirstSighting(*row));
-    if (first) return true;
-  }
-}
-
 Result<bool> DistinctOp::NextBatchImpl(TupleBatch* out) {
   XNFDB_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));
   if (!more) return false;
@@ -528,23 +428,21 @@ Result<bool> DistinctOp::NextBatchImpl(TupleBatch* out) {
 }
 
 Status SortOp::OpenImpl() {
-  XNFDB_RETURN_IF_ERROR(child_->Open());
-  rows_.clear();
-  Tuple in;
-  while (true) {
-    XNFDB_ASSIGN_OR_RETURN(bool more, child_->Next(&in));
-    if (!more) break;
-    if (context() != nullptr) {
-      XNFDB_RETURN_IF_ERROR(context()->ReserveBytes(ApproxTupleBytes(in)));
-    }
-    rows_.push_back(std::move(in));
-    in = Tuple();
+  // Blocking inputs are consumed whole, so they are pulled at the default
+  // batch size whatever the query's batch size (as hash-join builds are).
+  XNFDB_RETURN_IF_ERROR(
+      DrainInto(child_.get(), kDefaultBatchSize, context(), &rows_));
+  order_.resize(rows_.size());
+  for (size_t i = 0; i < order_.size(); ++i) {
+    order_[i] = static_cast<uint32_t>(i);
   }
-  std::stable_sort(rows_.begin(), rows_.end(),
-                   [this](const Tuple& a, const Tuple& b) {
+  std::stable_sort(order_.begin(), order_.end(),
+                   [this](uint32_t a, uint32_t b) {
+                     RowView ra = rows_.Row(a);
+                     RowView rb = rows_.Row(b);
                      for (const auto& [col, desc] : keys_) {
-                       const Value& va = a[col];
-                       const Value& vb = b[col];
+                       const Value& va = ra[col];
+                       const Value& vb = rb[col];
                        if (va < vb) return !desc;
                        if (vb < va) return desc;
                      }
@@ -554,22 +452,32 @@ Status SortOp::OpenImpl() {
   return Status::Ok();
 }
 
-Result<bool> SortOp::NextImpl(Tuple* row) {
-  if (pos_ >= rows_.size()) return false;
-  *row = rows_[pos_++];
-  return true;
+Result<bool> SortOp::NextBatchImpl(TupleBatch* out) {
+  while (pos_ < order_.size() && !out->Full()) {
+    rows_.CopyRow(order_[pos_++], &out->AppendRow());
+  }
+  return !out->Empty();
 }
 
-Result<bool> LimitOp::NextImpl(Tuple* row) {
-  while (skipped_ < offset_) {
-    XNFDB_ASSIGN_OR_RETURN(bool more, child_->Next(row));
-    if (!more) return false;
-    ++skipped_;
+Result<bool> LimitOp::NextBatchImpl(TupleBatch* out) {
+  size_t owed = out->capacity();
+  if (limit_ >= 0) {
+    const int64_t left = (offset_ - skipped_) + (limit_ - emitted_);
+    if (left <= 0) return false;
+    owed = std::min(owed, static_cast<size_t>(left));
   }
-  if (limit_ >= 0 && emitted_ >= limit_) return false;
-  XNFDB_ASSIGN_OR_RETURN(bool more, child_->Next(row));
+  in_.set_capacity(owed);
+  XNFDB_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&in_));
   if (!more) return false;
-  ++emitted_;
+  for (size_t i = 0; i < in_.ActiveCount(); ++i) {
+    if (skipped_ < offset_) {
+      ++skipped_;
+      continue;
+    }
+    if (limit_ >= 0 && emitted_ >= limit_) break;  // a join overshot `owed`
+    out->AppendRow().swap(in_.Active(i));
+    ++emitted_;
+  }
   return true;
 }
 
@@ -590,9 +498,7 @@ Status HashJoinOp::OpenImpl() {
     left_key_cols_.push_back(left_layout_.Offset(k->quant_id) +
                              static_cast<size_t>(k->column));
   }
-  XNFDB_RETURN_IF_ERROR(Build());
-  match_ = RowHashIndex::kNone;
-  return Status::Ok();
+  return Build();
 }
 
 Status HashJoinOp::Build() {
@@ -653,65 +559,22 @@ Result<uint32_t> HashJoinOp::FirstMatch(const Tuple& row) {
   });
 }
 
-Result<bool> HashJoinOp::NextImpl(Tuple* row) {
-  while (true) {
-    while (match_ != RowHashIndex::kNone) {
-      RowView right_row = build_rows_.Row(match_);
-      match_ = build_index_.NextDuplicate(match_);
-      row->clear();
-      row->reserve(current_left_.size() + right_row.size());
-      row->insert(row->end(), current_left_.begin(), current_left_.end());
-      row->insert(row->end(), right_row.begin(), right_row.end());
-      bool pass = true;
-      for (const qgm::Expr* p : residual_) {
-        XNFDB_ASSIGN_OR_RETURN(bool ok,
-                               EvalPredicate(*p, combined_layout_, *row));
-        if (!ok) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) return true;
-    }
-    XNFDB_ASSIGN_OR_RETURN(bool more, left_->Next(&current_left_));
-    if (!more) return false;
-    if (stats_ != nullptr) ++stats_->join_probes;
-    XNFDB_ASSIGN_OR_RETURN(match_, FirstMatch(current_left_));
-  }
-}
-
 Status HashJoinOp::ProbeInto(const Tuple& left, TupleBatch* out) {
   if (stats_ != nullptr) ++stats_->join_probes;
   XNFDB_ASSIGN_OR_RETURN(uint32_t m, FirstMatch(left));
   for (; m != RowHashIndex::kNone; m = build_index_.NextDuplicate(m)) {
-    RowView right_row = build_rows_.Row(m);
-    Tuple& combined = out->AppendRow();  // retracted below if residual fails
-    combined.clear();
-    combined.reserve(left.size() + right_row.size());
-    combined.insert(combined.end(), left.begin(), left.end());
-    combined.insert(combined.end(), right_row.begin(), right_row.end());
-    bool pass = true;
-    for (const qgm::Expr* p : residual_) {
-      XNFDB_ASSIGN_OR_RETURN(bool ok,
-                             EvalPredicate(*p, combined_layout_, combined));
-      if (!ok) {
-        pass = false;
-        break;
-      }
-    }
-    if (!pass) out->DropLastRow();
+    XNFDB_RETURN_IF_ERROR(AppendJoined(left, build_rows_.Row(m), residual_,
+                                       combined_layout_, out));
   }
   return Status::Ok();
 }
 
 Result<bool> HashJoinOp::NextBatchImpl(TupleBatch* out) {
-  if (left_batch_ == nullptr || left_batch_->capacity() != out->capacity()) {
-    left_batch_ = std::make_unique<TupleBatch>(out->capacity());
-  }
-  XNFDB_ASSIGN_OR_RETURN(bool more, left_->NextBatch(left_batch_.get()));
+  left_batch_.set_capacity(out->capacity());
+  XNFDB_ASSIGN_OR_RETURN(bool more, left_->NextBatch(&left_batch_));
   if (!more) return false;
-  for (size_t i = 0; i < left_batch_->ActiveCount(); ++i) {
-    XNFDB_RETURN_IF_ERROR(ProbeInto(left_batch_->Active(i), out));
+  for (size_t i = 0; i < left_batch_.ActiveCount(); ++i) {
+    XNFDB_RETURN_IF_ERROR(ProbeInto(left_batch_.Active(i), out));
   }
   if (stats_ != nullptr) ++stats_->batches_join;
   return true;
@@ -719,52 +582,43 @@ Result<bool> HashJoinOp::NextBatchImpl(TupleBatch* out) {
 
 Status NLJoinOp::OpenImpl() {
   XNFDB_RETURN_IF_ERROR(left_->Open());
-  XNFDB_RETURN_IF_ERROR(right_->Open());
-  inner_.clear();
-  Tuple in;
-  while (true) {
-    XNFDB_ASSIGN_OR_RETURN(bool more, right_->Next(&in));
-    if (!more) break;
-    if (context() != nullptr) {
-      XNFDB_RETURN_IF_ERROR(context()->ReserveBytes(ApproxTupleBytes(in)));
-    }
-    inner_.push_back(std::move(in));
-    in = Tuple();
-  }
-  left_valid_ = false;
+  // The inner side is consumed whole: pulled at the default batch size.
+  XNFDB_RETURN_IF_ERROR(
+      DrainInto(right_.get(), kDefaultBatchSize, context(), &inner_));
+  left_batch_.Clear();
+  left_pos_ = 0;
   inner_pos_ = 0;
+  probes_ = 0;
   return Status::Ok();
 }
 
-Result<bool> NLJoinOp::NextImpl(Tuple* row) {
-  while (true) {
-    if (!left_valid_) {
-      XNFDB_ASSIGN_OR_RETURN(bool more, left_->Next(&current_left_));
-      if (!more) return false;
-      left_valid_ = true;
+Result<bool> NLJoinOp::NextBatchImpl(TupleBatch* out) {
+  while (!out->Full()) {
+    if (left_pos_ >= left_batch_.ActiveCount()) {
+      left_batch_.set_capacity(out->capacity());
+      XNFDB_ASSIGN_OR_RETURN(bool more, left_->NextBatch(&left_batch_));
+      left_pos_ = 0;
+      inner_pos_ = 0;
+      if (!more) return !out->Empty();
+      continue;
+    }
+    const Tuple& left = left_batch_.Active(left_pos_);
+    while (inner_pos_ < inner_.size() && !out->Full()) {
+      // A selective predicate can keep one call probing for a long time
+      // without emitting, so the loop checks the governor itself.
+      if (context() != nullptr && (++probes_ % 1024) == 0) {
+        XNFDB_RETURN_IF_ERROR(context()->Check());
+      }
+      if (stats_ != nullptr) ++stats_->join_probes;
+      XNFDB_RETURN_IF_ERROR(AppendJoined(left, inner_.Row(inner_pos_++),
+                                         preds_, combined_layout_, out));
+    }
+    if (inner_pos_ >= inner_.size()) {
+      ++left_pos_;
       inner_pos_ = 0;
     }
-    while (inner_pos_ < inner_.size()) {
-      if (stats_ != nullptr) ++stats_->join_probes;
-      const Tuple& right_row = inner_[inner_pos_++];
-      Tuple combined = current_left_;
-      combined.insert(combined.end(), right_row.begin(), right_row.end());
-      bool pass = true;
-      for (const qgm::Expr* p : preds_) {
-        XNFDB_ASSIGN_OR_RETURN(bool ok,
-                               EvalPredicate(*p, combined_layout_, combined));
-        if (!ok) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) {
-        *row = std::move(combined);
-        return true;
-      }
-    }
-    left_valid_ = false;
   }
+  return true;
 }
 
 // --- existential checks ----------------------------------------------------------
@@ -772,8 +626,8 @@ Result<bool> NLJoinOp::NextImpl(Tuple* row) {
 Status ExistsFilterOp::OpenImpl() {
   // Index builds are deferred to the first probe (EnsureIndex): when the
   // probe side is empty, or a governor deadline/cancel has already expired,
-  // no group index is ever paid for. Safe because every probe loop — batch,
-  // row-at-a-time, or a morsel worker's — runs on this instance's single
+  // no group index is ever paid for. Safe because every probe loop — a
+  // sequential one or a morsel worker's — runs on this instance's single
   // thread (morsel workers each own a full plan clone).
   return child_->Open();
 }
@@ -823,12 +677,7 @@ Result<bool> ExistsFilterOp::ResidualPasses(const GroupCheck& g,
   combined_.reserve(outer.size() + row.size());
   combined_.insert(combined_.end(), outer.begin(), outer.end());
   combined_.insert(combined_.end(), row.begin(), row.end());
-  for (const qgm::Expr* p : g.residual) {
-    XNFDB_ASSIGN_OR_RETURN(bool ok,
-                           EvalPredicate(*p, g.combined_layout, combined_));
-    if (!ok) return false;
-  }
-  return true;
+  return AllPass(g.residual, g.combined_layout, combined_);
 }
 
 Result<bool> ExistsFilterOp::GroupMatches(GroupCheck* g, const Tuple& outer) {
@@ -898,15 +747,6 @@ Result<bool> ExistsFilterOp::RowPasses(const Tuple& row) {
   return true;
 }
 
-Result<bool> ExistsFilterOp::NextImpl(Tuple* row) {
-  while (true) {
-    XNFDB_ASSIGN_OR_RETURN(bool more, child_->Next(row));
-    if (!more) return false;
-    XNFDB_ASSIGN_OR_RETURN(bool pass, RowPasses(*row));
-    if (pass) return true;
-  }
-}
-
 Result<bool> ExistsFilterOp::NextBatchImpl(TupleBatch* out) {
   XNFDB_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));
   if (!more) return false;
@@ -927,15 +767,6 @@ Status UnionOp::OpenImpl() {
   for (auto& c : children_) XNFDB_RETURN_IF_ERROR(c->Open());
   current_ = 0;
   return Status::Ok();
-}
-
-Result<bool> UnionOp::NextImpl(Tuple* row) {
-  while (current_ < children_.size()) {
-    XNFDB_ASSIGN_OR_RETURN(bool more, children_[current_]->Next(row));
-    if (more) return true;
-    ++current_;
-  }
-  return false;
 }
 
 Result<bool> UnionOp::NextBatchImpl(TupleBatch* out) {
@@ -971,53 +802,57 @@ Status AggOp::OpenImpl() {
   std::map<std::vector<std::string>, std::pair<Tuple, std::vector<AggState>>>
       groups;
   // Use an order-preserving map keyed by rendered values for determinism.
-  Tuple row;
+  // The input is consumed whole: pulled at the default batch size.
+  TupleBatch batch(
+      BatchCapacityFor(child_->estimated_rows(), kDefaultBatchSize));
   while (true) {
-    Result<bool> more = child_->Next(&row);
-    if (!more.ok()) return more.status();
-    if (!more.value()) break;
-    std::vector<std::string> key;
-    for (const qgm::Expr* gexpr : group_by_) {
-      Result<Value> v = EvalExpr(*gexpr, layout_, row);
-      if (!v.ok()) return v.status();
-      key.push_back(v.value().ToString());
-    }
-    auto [it, inserted] =
-        groups.try_emplace(std::move(key), row, std::vector<AggState>());
-    if (inserted) {
-      it->second.second.resize(specs_.size());
-      // One representative row is retained per group.
-      if (context() != nullptr) {
-        Status s = context()->ReserveBytes(ApproxTupleBytes(row));
-        if (!s.ok()) return s;
+    XNFDB_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&batch));
+    if (!more) break;
+    for (size_t b = 0; b < batch.ActiveCount(); ++b) {
+      const Tuple& row = batch.Active(b);
+      std::vector<std::string> key;
+      for (const qgm::Expr* gexpr : group_by_) {
+        Result<Value> v = EvalExpr(*gexpr, layout_, row);
+        if (!v.ok()) return v.status();
+        key.push_back(v.value().ToString());
       }
-    }
-    std::vector<AggState>& states = it->second.second;
-    for (size_t i = 0; i < specs_.size(); ++i) {
-      const AggSpec& spec = specs_[i];
-      if (!spec.is_agg) continue;
-      AggState& st = states[i];
-      Value v;
-      if (spec.arg != nullptr) {
-        Result<Value> r = EvalExpr(*spec.arg, layout_, row);
-        if (!r.ok()) return r.status();
-        v = r.value();
-        if (v.is_null()) continue;  // aggregates skip NULLs
+      auto [it, inserted] =
+          groups.try_emplace(std::move(key), row, std::vector<AggState>());
+      if (inserted) {
+        it->second.second.resize(specs_.size());
+        // One representative row is retained per group.
+        if (context() != nullptr) {
+          Status s = context()->ReserveBytes(ApproxTupleBytes(row));
+          if (!s.ok()) return s;
+        }
       }
-      ++st.count;
-      st.any = true;
-      if (spec.arg != nullptr) {
-        if (st.min.is_null() || v < st.min) st.min = v;
-        if (st.max.is_null() || st.max < v) st.max = v;
-        if (v.type() == DataType::kInt || v.type() == DataType::kDouble) {
-          st.dsum += v.AsDouble();
-          if (st.sum.is_null()) {
-            st.sum = v;
-          } else if (st.sum.type() == DataType::kInt &&
-                     v.type() == DataType::kInt) {
-            st.sum = Value(st.sum.AsInt() + v.AsInt());
-          } else {
-            st.sum = Value(st.sum.AsDouble() + v.AsDouble());
+      std::vector<AggState>& states = it->second.second;
+      for (size_t i = 0; i < specs_.size(); ++i) {
+        const AggSpec& spec = specs_[i];
+        if (!spec.is_agg) continue;
+        AggState& st = states[i];
+        Value v;
+        if (spec.arg != nullptr) {
+          Result<Value> r = EvalExpr(*spec.arg, layout_, row);
+          if (!r.ok()) return r.status();
+          v = r.value();
+          if (v.is_null()) continue;  // aggregates skip NULLs
+        }
+        ++st.count;
+        st.any = true;
+        if (spec.arg != nullptr) {
+          if (st.min.is_null() || v < st.min) st.min = v;
+          if (st.max.is_null() || st.max < v) st.max = v;
+          if (v.type() == DataType::kInt || v.type() == DataType::kDouble) {
+            st.dsum += v.AsDouble();
+            if (st.sum.is_null()) {
+              st.sum = v;
+            } else if (st.sum.type() == DataType::kInt &&
+                       v.type() == DataType::kInt) {
+              st.sum = Value(st.sum.AsInt() + v.AsInt());
+            } else {
+              st.sum = Value(st.sum.AsDouble() + v.AsDouble());
+            }
           }
         }
       }
@@ -1066,10 +901,11 @@ Status AggOp::OpenImpl() {
   return Status::Ok();
 }
 
-Result<bool> AggOp::NextImpl(Tuple* row) {
-  if (pos_ >= results_.size()) return false;
-  *row = results_[pos_++];
-  return true;
+Result<bool> AggOp::NextBatchImpl(TupleBatch* out) {
+  while (pos_ < results_.size() && !out->Full()) {
+    out->AppendRow() = results_[pos_++];
+  }
+  return !out->Empty();
 }
 
 

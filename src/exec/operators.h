@@ -1,15 +1,17 @@
 // Physical operators of the Query Evaluation System (paper Sect. 3.1).
 //
 // Execution follows the Starburst "table queue" style: demand-driven,
-// pipelined iterators (Open / Next / Close). Each QEP operator consumes one
-// or more input streams and produces an output stream of tuples. Shared
-// common subexpressions are realized by Spool buffers: a producer is run
-// once and any number of readers iterate the materialized result.
+// pipelined iterators (Open / NextBatch / Close). Each QEP operator consumes
+// one or more input streams and produces an output stream of tuple batches
+// (exec/batch.h); NextBatch is the only pull protocol, and batch_size = 1 is
+// simply a batch of one. Shared common subexpressions are realized by Spool
+// buffers: a producer is run once and any number of readers iterate the
+// materialized result.
 //
-// The public Open/Next/Close entry points are non-virtual wrappers that
-// maintain per-operator actuals (loop and row counts always; inclusive wall
-// time in analyze mode) for EXPLAIN ANALYZE; subclasses implement the
-// protected *Impl hooks.
+// The public Open/NextBatch/Close entry points are non-virtual wrappers that
+// maintain per-operator actuals (loop, row and batch counts always;
+// inclusive wall time in analyze/profile mode) for EXPLAIN ANALYZE;
+// subclasses implement the protected *Impl hooks.
 
 #ifndef XNFDB_EXEC_OPERATORS_H_
 #define XNFDB_EXEC_OPERATORS_H_
@@ -117,12 +119,9 @@ class Operator {
   // Non-virtual lifecycle entry points: delegate to the *Impl hooks while
   // maintaining this operator's actuals.
   Status Open();
-  // Produces the next row into `*row`; returns false at end of stream.
-  Result<bool> Next(Tuple* row);
   // Produces the next batch into `*out` (cleared first); returns false at
   // end of stream. A true return with ActiveCount() == 0 is a fully
-  // filtered batch — keep pulling. Operators without a native batch
-  // implementation fall back to looping NextImpl.
+  // filtered batch — keep pulling.
   Result<bool> NextBatch(TupleBatch* out);
   void Close();
 
@@ -132,8 +131,9 @@ class Operator {
   void Explain(int depth, std::string* out) const { ExplainImpl(depth, out); }
 
   // Per-operator execution totals. `ns` is inclusive of children (time is
-  // measured around this operator's Next calls, which pull from children),
-  // and is only collected in analyze mode; rows/loops are always counted.
+  // measured around this operator's Open/NextBatch/Close calls, which pull
+  // from children), and is only collected in analyze or profile mode;
+  // rows/loops/batches are always counted.
   struct Actuals {
     int64_t loops = 0;    // Open calls
     int64_t rows = 0;     // rows produced, across all loops
@@ -147,10 +147,9 @@ class Operator {
   void EnableAnalyze();
   bool analyze_enabled() const { return analyze_; }
 
-  // Always-on profiling (SYS$QUERY_PROFILES): like analyze mode but cheap —
-  // wall time is measured only around Open/NextBatch (two clock reads per
-  // ~1k-row batch), never around per-row Next calls. Rows pulled
-  // row-at-a-time contribute counters but no time.
+  // Always-on profiling (SYS$QUERY_PROFILES): the same batch-granularity
+  // timing as analyze mode — two clock reads per Open/NextBatch/Close call,
+  // i.e. per ~1k-row batch at the default batch size.
   void EnableProfile();
   bool profile_enabled() const { return profile_; }
 
@@ -172,9 +171,8 @@ class Operator {
 
   // Attaches the query's resource-governance context to this operator and
   // its subtree. The non-virtual wrappers then check it cooperatively: a
-  // full Check() (cancel + deadline) at every Open/NextBatch, a cheap
-  // cancellation check per Next row with a full check every ~1k rows. `ctx`
-  // must outlive execution; null detaches.
+  // full Check() (cancel + deadline) at every Open/NextBatch. `ctx` must
+  // outlive execution; null detaches.
   void AttachContext(QueryContext* ctx);
 
   // Direct children of this operator in the plan tree.
@@ -192,10 +190,7 @@ class Operator {
 
  protected:
   virtual Status OpenImpl() = 0;
-  virtual Result<bool> NextImpl(Tuple* row) = 0;
-  // Default adapter: loops NextImpl until the batch is full. Native batch
-  // operators override this.
-  virtual Result<bool> NextBatchImpl(TupleBatch* out);
+  virtual Result<bool> NextBatchImpl(TupleBatch* out) = 0;
   virtual void CloseImpl() = 0;
   virtual void ExplainImpl(int depth, std::string* out) const = 0;
 
@@ -205,7 +200,8 @@ class Operator {
 
   // Governance context, for *Impl hooks that materialize rows internally
   // (join build sides, sort buffers) and must charge ReserveBytes / observe
-  // cancellation inside their own loops. Null when the query is ungoverned.
+  // cancellation inside their own loops (the NL join's inner probe loop).
+  // Null when the query is ungoverned.
   QueryContext* context() const { return ctx_; }
 
  private:
@@ -214,7 +210,6 @@ class Operator {
   Actuals actuals_;
   double est_rows_ = -1.0;  // planner estimate; < 0 = none
   QueryContext* ctx_ = nullptr;
-  int64_t gov_tick_ = 0;  // rows since the last full deadline check (Next)
 };
 
 // Explain helper: indented line.
@@ -231,12 +226,13 @@ uint64_t PlanShapeHash(const std::string& shape);
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
-// Drains `op` completely (Open/Next*/Close) into a vector. `batch_size`
-// selects the pull granularity; <= 1 keeps the classic row loop.
+// Drains `op` completely (Open/NextBatch*/Close) into a vector, pulling
+// batches of `batch_size` rows (<= 1: batches of one).
 Result<std::vector<Tuple>> DrainOperator(Operator* op, int batch_size = 1);
 
 // The one materialization path of plan-time drains (spools, existential
-// group builds): drains `op` completely into `*out`, whose first chunk — and
+// group builds) and of blocking operators' inputs (sort buffer, NL-join
+// inner side): drains `op` completely into `*out`, whose first chunk — and
 // the pull batch — are sized from the operator's row estimate. Rows are
 // copied out of the batch, so its slots keep their capacity. When `ctx` is
 // set, every drained row's bytes are charged against its memory budget.
@@ -281,7 +277,6 @@ class ScanOp : public Operator {
     claimed_ = 0;
     return Status::Ok();
   }
-  Result<bool> NextImpl(Tuple* row) override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override {}
 
@@ -313,7 +308,7 @@ class VirtualScanOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* row) override;
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override { rows_.clear(); }
 
   void ExplainImpl(int depth, std::string* out) const override;
@@ -336,7 +331,7 @@ class IndexScanOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* row) override;
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override {}
 
   void ExplainImpl(int depth, std::string* out) const override;
@@ -369,7 +364,7 @@ class RangeScanOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* row) override;
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override {}
 
   void ExplainImpl(int depth, std::string* out) const override;
@@ -410,7 +405,6 @@ class MatViewScanOp : public Operator {
     pos_ = 0;
     return Status::Ok();
   }
-  Result<bool> NextImpl(Tuple* row) override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override {}
 
@@ -436,7 +430,6 @@ class MaterializedOp : public Operator {
     pos_ = 0;
     return Status::Ok();
   }
-  Result<bool> NextImpl(Tuple* row) override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override {}
 
@@ -465,7 +458,6 @@ class FilterOp : public Operator {
 
  protected:
   Status OpenImpl() override { return child_->Open(); }
-  Result<bool> NextImpl(Tuple* row) override;
   // Pulls the child's batch into `out` and deselects failing rows in the
   // selection vector — no row copies.
   Result<bool> NextBatchImpl(TupleBatch* out) override;
@@ -495,7 +487,6 @@ class ProjectOp : public Operator {
 
  protected:
   Status OpenImpl() override { return child_->Open(); }
-  Result<bool> NextImpl(Tuple* row) override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override { child_->Close(); }
 
@@ -506,7 +497,7 @@ class ProjectOp : public Operator {
   std::vector<const qgm::Expr*> exprs_;
   Layout layout_;
   ExecStats* stats_;
-  std::unique_ptr<TupleBatch> in_;  // child-side batch (batch mode only)
+  TupleBatch in_{1};  // child-side batch, sized like the output batch
 };
 
 class DistinctOp : public Operator {
@@ -521,7 +512,6 @@ class DistinctOp : public Operator {
     seen_.Reset(child_->estimated_rows());
     return child_->Open();
   }
-  Result<bool> NextImpl(Tuple* row) override;
   // Pulls the child's batch into `out` and deselects rows seen before, the
   // way FilterOp does — no row moves.
   Result<bool> NextBatchImpl(TupleBatch* out) override;
@@ -546,16 +536,18 @@ class SortOp : public Operator {
   const char* Kind() const override { return "sort"; }
 
  protected:
+  // Drains the child (opened and closed inside) into rows_ and orders it.
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* row) override;
-  void CloseImpl() override { child_->Close(); }
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
+  void CloseImpl() override {}
 
   void ExplainImpl(int depth, std::string* out) const override;
 
  private:
   OperatorPtr child_;
   std::vector<std::pair<int, bool>> keys_;  // (column, descending)
-  std::vector<Tuple> rows_;
+  RowStore rows_;
+  std::vector<uint32_t> order_;  // row ids of rows_ in sort order
   size_t pos_ = 0;
 };
 
@@ -574,7 +566,10 @@ class LimitOp : public Operator {
     skipped_ = 0;
     return child_->Open();
   }
-  Result<bool> NextImpl(Tuple* row) override;
+  // Pulls the child in batches no larger than the rows still owed
+  // (offset still to skip plus limit still to emit), so a streaming child
+  // reads no row past the last one the limit passes on.
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override { child_->Close(); }
 
   void ExplainImpl(int depth, std::string* out) const override;
@@ -585,6 +580,7 @@ class LimitOp : public Operator {
   int64_t offset_;
   int64_t emitted_ = 0;
   int64_t skipped_ = 0;
+  TupleBatch in_{1};  // child-side batch
 };
 
 // --- joins -------------------------------------------------------------------
@@ -618,7 +614,6 @@ class HashJoinOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* row) override;
   // Probes one whole left batch per call, emitting every match (output may
   // exceed the nominal capacity — no probe state is carried across calls).
   Result<bool> NextBatchImpl(TupleBatch* out) override;
@@ -659,9 +654,7 @@ class HashJoinOp : public Operator {
   std::vector<size_t> left_key_cols_;
   bool left_keys_flat_ = false;
   Tuple probe_key_;  // reused per probe
-  Tuple current_left_;
-  uint32_t match_ = RowHashIndex::kNone;  // next build match (row mode)
-  std::unique_ptr<TupleBatch> left_batch_;  // probe-side batch (batch mode)
+  TupleBatch left_batch_{1};  // probe-side batch, sized like the output
 };
 
 // Nested-loop join (inner side materialized) for non-equi predicates.
@@ -682,12 +675,15 @@ class NLJoinOp : public Operator {
   const char* Kind() const override { return "nl_join"; }
 
  protected:
+  // Opens the left side and drains the inner (right) side, which is opened
+  // and closed inside.
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* row) override;
-  void CloseImpl() override {
-    left_->Close();
-    right_->Close();
-  }
+  // Joins left batch rows against every inner row, building each combined
+  // row in its output slot, until the output batch is full; the probe
+  // position carries over to the next call. Checks the governor every 1,024
+  // inner probes, since one call may probe far more rows than it emits.
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
+  void CloseImpl() override { left_->Close(); }
 
   void ExplainImpl(int depth, std::string* out) const override;
 
@@ -698,10 +694,11 @@ class NLJoinOp : public Operator {
   Layout combined_layout_;
   ExecStats* stats_;
 
-  std::vector<Tuple> inner_;
-  Tuple current_left_;
-  size_t inner_pos_ = 0;
-  bool left_valid_ = false;
+  RowStore inner_;
+  TupleBatch left_batch_{1};  // current probe-side batch
+  size_t left_pos_ = 0;       // active row of left_batch_ being joined
+  size_t inner_pos_ = 0;      // next inner row to probe against it
+  uint64_t probes_ = 0;       // inner probes since Open (governor cadence)
 };
 
 // --- existential checks --------------------------------------------------------
@@ -761,7 +758,6 @@ class ExistsFilterOp : public Operator {
   // governor deadline/cancel that fires before the first row — never pays
   // the build cost.
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* row) override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override { child_->Close(); }
 
@@ -804,7 +800,6 @@ class UnionOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* row) override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override {
     for (auto& c : children_) c->Close();
@@ -842,7 +837,7 @@ class AggOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Tuple* row) override;
+  Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override { child_->Close(); }
 
   void ExplainImpl(int depth, std::string* out) const override;

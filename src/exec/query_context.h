@@ -12,8 +12,10 @@
 // therefore never leave a batch pool, spool, or bucket in a torn state.
 //
 // Check-point placement rules (DESIGN.md §11): the non-virtual
-// Operator::Open/Next/NextBatch wrappers check automatically, so a new
-// operator inherits governance for free; code that *materializes* rows
+// Operator::Open/NextBatch wrappers check automatically, so a new operator
+// inherits governance for free; a loop that can run long without pulling a
+// child (group index builds, the NL join's inner probes) checks itself
+// every 1,024 iterations; code that *materializes* rows
 // outside the operator tree (spools, join build sides, sort buffers,
 // fixpoint candidates, executor output buffers) must additionally charge
 // ReserveBytes, and code that *emits* result rows must charge
@@ -84,9 +86,9 @@ class QueryContext {
   int64_t elapsed_us() const { return NowUs() - start_us_; }
 
   // Liveness heartbeat for the stuck-query watchdog: operator wrappers
-  // tick at batch boundaries (every Open/NextBatch, and every ~1k rows on
-  // the Volcano path). A running query whose tick count stops advancing is
-  // stalled — wedged inside one call, not merely slow between rows.
+  // tick at batch boundaries (every Open/NextBatch). A running query whose
+  // tick count stops advancing is stalled — wedged inside one call, not
+  // merely slow between rows.
   void Tick() { progress_ticks_.fetch_add(1, std::memory_order_relaxed); }
   int64_t progress_ticks() const {
     return progress_ticks_.load(std::memory_order_relaxed);
@@ -99,13 +101,6 @@ class QueryContext {
   }
   int64_t queue_wait_us() const {
     return queue_wait_us_.load(std::memory_order_relaxed);
-  }
-
-  // Cancellation only: one relaxed-ish atomic load, cheap enough for
-  // per-row call sites.
-  Status CheckCancelled() const {
-    if (cancelled()) return TerminationStatus(StatusCode::kCancelled);
-    return Status::Ok();
   }
 
   // Full cooperative check: cancellation plus deadline (one clock read,

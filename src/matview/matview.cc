@@ -443,6 +443,7 @@ Status MatViewStore::ApplyDeltaLocked(const Catalog& catalog, Entry* e,
     std::map<std::string, Table*> overrides{{table, &delta}};
     ExecStats stats;
     PlanOptions popts;
+    popts.batch_size = ResolveBatchSize(0);
     popts.table_overrides = &overrides;
     Planner planner(&catalog, e->graph.get(), popts, &stats);
     for (int oi : affected) {
@@ -450,21 +451,24 @@ Status MatViewStore::ApplyDeltaLocked(const Catalog& catalog, Entry* e,
       XNFDB_ASSIGN_OR_RETURN(OperatorPtr op, planner.BoxIterator(o.box_id));
       XNFDB_RETURN_IF_ERROR(op->Open());
       std::vector<Tuple>& bucket = (*out)[oi];
-      Tuple row;
+      TupleBatch batch(BatchCapacityFor(
+          op->estimated_rows(), static_cast<size_t>(popts.batch_size)));
       Status st = Status::Ok();
-      while (true) {
-        Result<bool> more = op->Next(&row);
+      while (st.ok()) {
+        Result<bool> more = op->NextBatch(&batch);
         if (!more.ok()) {
           st = more.status();
           break;
         }
         if (!more.value()) break;
-        bucket.push_back(o.cols.empty() ? std::move(row)
-                                        : ProjectCols(row, o.cols));
-        row = Tuple();
-        if (++drained > config_.max_rows) {
-          st = Status::ResourceExhausted("matview: delta too large");
-          break;
+        for (size_t b = 0; b < batch.ActiveCount(); ++b) {
+          Tuple& row = batch.Active(b);
+          bucket.push_back(o.cols.empty() ? std::move(row)
+                                          : ProjectCols(row, o.cols));
+          if (++drained > config_.max_rows) {
+            st = Status::ResourceExhausted("matview: delta too large");
+            break;
+          }
         }
       }
       op->Close();

@@ -48,9 +48,9 @@ class OneRowOp : public Operator {
     done_ = false;
     return Status::Ok();
   }
-  Result<bool> NextImpl(Tuple* row) override {
+  Result<bool> NextBatchImpl(TupleBatch* out) override {
     if (done_) return false;
-    row->clear();
+    out->AppendRow().clear();
     done_ = true;
     return true;
   }

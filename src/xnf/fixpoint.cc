@@ -77,6 +77,7 @@ Result<QueryResult> ExecuteXnfFixpoint(const Catalog& catalog,
   QueryResult result;
   QueryContext* ctx = options.context.get();
   PlanOptions plan_options = options.plan;
+  plan_options.batch_size = ResolveBatchSize(options.batch_size);
   plan_options.context = ctx;  // governs candidate materialization drains
   Planner planner(&catalog, &graph, plan_options, &result.stats);
 

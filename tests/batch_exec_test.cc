@@ -1,7 +1,7 @@
 // Tests of vectorized batch execution (ExecOptions::batch_size) and
 // morsel-driven scan parallelism (ExecOptions::morsel_workers): results
-// must be identical at every batch size — batch_size=1 reproduces
-// tuple-at-a-time execution exactly — and batch boundaries (empty input,
+// must be identical at every batch size — batch_size=1 runs batches of one
+// row through the same operators — and batch boundaries (empty input,
 // exactly batch_size rows, batch_size ± 1, fully filtered batches) must
 // not lose or duplicate rows.
 
@@ -62,7 +62,7 @@ Result<QueryResult> RunAt(Database* db, const std::string& sql,
   return db->Query(sql, {}, opts);
 }
 
-// Row counts must agree between tuple-at-a-time and batched execution for
+// Row counts must agree between batches of one and larger batches for
 // every table size around a batch boundary, including the empty table.
 TEST(BatchExecTest, BatchBoundariesPreserveRowCounts) {
   const int kBatch = 4;
@@ -105,7 +105,8 @@ TEST(BatchExecTest, WholeBatchFilteredBySelectionVector) {
   EXPECT_TRUE(empty.value().rows().empty());
 }
 
-// Batched runs actually emit batches (visible in the run's ExecStats).
+// Batched runs actually emit batches (visible in the run's ExecStats); at
+// batch_size=1 every row is a batch of one.
 TEST(BatchExecTest, BatchedRunReportsBatchesEmitted) {
   Database db;
   LoadCounterTable(&db, 10);
@@ -114,7 +115,36 @@ TEST(BatchExecTest, BatchedRunReportsBatchesEmitted) {
   EXPECT_GE(batched.value().stats.batches_emitted.load(), 3);
   Result<QueryResult> rows = RunAt(&db, "SELECT A FROM T", 1);
   ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows.value().stats.batches_emitted.load(), 0);
+  EXPECT_EQ(rows.value().stats.batches_emitted.load(), 10);
+}
+
+// LIMIT over a streaming pipeline reads no row past the last one it passes
+// on: the scan stops at offset + limit rows whatever the batch size, since
+// the limit pulls batches no larger than the rows it still owes.
+TEST(BatchExecTest, LimitScansOnlyOffsetPlusLimitRows) {
+  const int kRows = 3000;
+  for (int batch : {1, 7, 1024}) {
+    SCOPED_TRACE("batch_size=" + std::to_string(batch));
+    Database db;
+    ASSERT_TRUE(db.Execute("CREATE TABLE T (A INTEGER)").ok());
+    std::string insert = "INSERT INTO T VALUES ";
+    for (int i = 0; i < kRows; ++i) {
+      insert += (i > 0 ? ", (" : "(") + std::to_string(i) + ")";
+    }
+    ASSERT_TRUE(db.Execute(insert).ok());
+    for (int offset : {0, 3}) {
+      SCOPED_TRACE("offset=" + std::to_string(offset));
+      std::string sql = "SELECT A FROM T LIMIT 2";
+      if (offset > 0) sql += " OFFSET " + std::to_string(offset);
+      Result<QueryResult> r = RunAt(&db, sql, batch);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r.value().stats.rows_scanned.load(), offset + 2);
+      std::vector<Tuple> rows = r.value().rows();
+      ASSERT_EQ(rows.size(), 2u);
+      EXPECT_EQ(rows[0][0].AsInt(), offset);
+      EXPECT_EQ(rows[1][0].AsInt(), offset + 1);
+    }
+  }
 }
 
 // The Table 1 query set (the eight single-component SQL derivations over

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <set>
 #include <string>
@@ -429,6 +430,37 @@ TEST(GovernorTest, GovernorTerminationIsAttributedInStatementStats) {
     EXPECT_GE(row.errors, 1);
   }
   EXPECT_TRUE(found);
+}
+
+// A nested-loop join whose predicate never holds emits nothing, so no
+// output batch ever completes and the only work is inner probing: the join
+// must check the deadline from inside its probe loop (every 1,024 probes)
+// rather than only when it next pulls its left side. Without that check the
+// first deadline check comes after 1,024 left rows, i.e. ~8M probes here.
+TEST(GovernorTest, DeadlineInterruptsNestedLoopJoinProbing) {
+  const int kRows = 8000;
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE T (A INTEGER, B INTEGER)").ok());
+  std::string insert = "INSERT INTO T VALUES ";
+  for (int i = 0; i < kRows; ++i) {
+    if (i > 0) insert += ", ";
+    insert += "(" + std::to_string(i) + ", " + std::to_string(-i) + ")";
+  }
+  ASSERT_TRUE(db.Execute(insert).ok());
+  ExecOptions eo;
+  eo.timeout_ms = 20;
+  const auto t0 = std::chrono::steady_clock::now();
+  Result<QueryResult> r =
+      db.Query("SELECT x.A FROM T x, T y WHERE x.A < y.B", {}, eo);
+  const int64_t elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
+      << r.status().ToString();
+  EXPECT_LT(elapsed_ms, 200) << "deadline of 20ms fired only after "
+                             << elapsed_ms << "ms";
 }
 
 }  // namespace

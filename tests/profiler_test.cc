@@ -380,6 +380,57 @@ TEST(QueryProfileTest, MorselExecutionRecordsWorkerRows) {
   EXPECT_GE(worker_rows.size(), 1u);
 }
 
+// Blocking operators (sort, aggregation, limit, the NL join's inner side)
+// pull their inputs batch-wise like everything else, so the operators below
+// them are counted and timed too: every operator class of the profile
+// reports at least one batch, and every EXPLAIN ANALYZE operator line
+// carries `batches=`.
+TEST(QueryProfileTest, OperatorsBelowBlockingOperatorsReportBatches) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE T (A INTEGER, B INTEGER)").ok());
+  std::string insert = "INSERT INTO T VALUES ";
+  for (int i = 0; i < 300; ++i) {
+    insert += (i > 0 ? ", (" : "(") + std::to_string(i) + ", " +
+              std::to_string(i % 7) + ")";
+  }
+  ASSERT_TRUE(db.Execute(insert).ok());
+  const std::vector<std::pair<std::string, std::string>> queries = {
+      {"SELECT A FROM T WHERE B = 2 ORDER BY A", "sort"},
+      {"SELECT B, COUNT(*) AS N FROM T GROUP BY B", "agg"},
+      {"SELECT A FROM T WHERE B = 2 LIMIT 5", "limit"},
+      {"SELECT x.A FROM T x, T y WHERE x.A < y.B", "nl_join"},
+  };
+  for (const auto& [sql, blocking] : queries) {
+    SCOPED_TRACE(sql);
+    Result<QueryResult> r = db.Query(sql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    std::set<std::string> classes;
+    for (const obs::OpProfile& op : r.value().profile.ops) {
+      classes.insert(op.op);
+      EXPECT_GE(op.batches, 1) << op.op;
+    }
+    EXPECT_TRUE(classes.count(blocking)) << "no " << blocking << " profile";
+    EXPECT_TRUE(classes.count("scan")) << "no scan profile";
+
+    ExecOptions analyze;
+    analyze.analyze = true;
+    Result<QueryResult> a = db.Query(sql, {}, analyze);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_FALSE(a.value().plan_texts.empty());
+    for (const std::string& text : a.value().plan_texts) {
+      size_t start = 0;
+      while (start < text.size()) {
+        size_t end = text.find('\n', start);
+        if (end == std::string::npos) end = text.size();
+        const std::string line = text.substr(start, end - start);
+        start = end + 1;
+        if (line.rfind("output ", 0) == 0) continue;  // stream header
+        EXPECT_NE(line.find("batches="), std::string::npos) << text;
+      }
+    }
+  }
+}
+
 // --- watchdog --------------------------------------------------------------
 
 TEST(WatchdogTest, StartIsNoopWhileDisabledAndIdempotentWhenArmed) {
