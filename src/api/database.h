@@ -84,7 +84,7 @@ class Database {
 
   // EXPLAIN: compiles `text` and renders the rewrite statistics, operation
   // counts, and the physical plan of every output stream — without
-  // executing the query.
+  // executing any of it: spools and existential groups show as not built.
   Result<std::string> Explain(const std::string& text,
                               const CompileOptions& copts = {},
                               const ExecOptions& eopts = {});

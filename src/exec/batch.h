@@ -2,9 +2,10 @@
 // the one unit every operator produces and consumes (Operator::NextBatch).
 //
 // A TupleBatch is a fixed-capacity block of rows plus a selection vector of
-// active row indices. Producers append rows densely (PushRow activates the
-// row); filters *mark* instead of copy by shrinking the selection vector in
-// place, so a batch flows through a filter chain without any row movement.
+// active row indices. Producers append rows densely (AppendRow activates
+// the row); filters *mark* instead of copy by shrinking the selection vector
+// in place, so a batch flows through a filter chain without any row
+// movement.
 // Consumers iterate Active(i) for i in [0, ActiveCount()).
 //
 // NextBatch(batch) returning true with ActiveCount() == 0 is legal (a fully
@@ -82,15 +83,12 @@ class TupleBatch {
 
   // Appends an active row slot and returns it for the producer to fill
   // (typically by copy-assignment, which reuses the slot's capacity).
-  // The returned reference is valid until the next Append/Push/Clear.
+  // The returned reference is valid until the next AppendRow/Clear.
   Tuple& AppendRow() {
     sel_.push_back(static_cast<uint32_t>(size_));
     if (size_ == rows_.size()) rows_.emplace_back();
     return rows_[size_++];
   }
-
-  // Appends a row and marks it active.
-  void PushRow(Tuple&& row) { AppendRow() = std::move(row); }
 
   // Retracts the most recent AppendRow() (which must still be active):
   // producers may append a slot speculatively, try to fill it, and drop it
@@ -99,10 +97,6 @@ class TupleBatch {
     sel_.pop_back();
     --size_;
   }
-
-  // All rows ever pushed into this batch, including ones a filter has since
-  // deselected.
-  size_t TotalRows() const { return size_; }
 
   // Rows still selected.
   size_t ActiveCount() const { return sel_.size(); }

@@ -106,26 +106,6 @@ Rid ResolveMorselRows(int64_t requested) {
       ParseEnvInt("XNFDB_MORSEL_ROWS", 1, int64_t{1} << 30, 2048));
 }
 
-// Pulls every row out of `op` (already Open) in batches of up to
-// `batch_size` rows and hands each to `emit` (const Tuple& -> Status); rows
-// stay in their batch slots, which keep their capacity for the next batch.
-// Each delivered batch bumps `batches_emitted`.
-template <typename EmitFn>
-Status PullRows(Operator* op, int batch_size, StatCounter* batches_emitted,
-                const EmitFn& emit) {
-  TupleBatch batch(BatchCapacityFor(op->estimated_rows(),
-                                    static_cast<size_t>(batch_size)));
-  while (true) {
-    XNFDB_ASSIGN_OR_RETURN(bool more, op->NextBatch(&batch));
-    if (!more) break;
-    ++*batches_emitted;
-    for (size_t i = 0; i < batch.ActiveCount(); ++i) {
-      XNFDB_RETURN_IF_ERROR(emit(batch.Active(i)));
-    }
-  }
-  return Status::Ok();
-}
-
 // One operator's estimate and summed actuals. An output's slots are
 // indexed by pre-order position, so morsel clones of one plan merge into
 // the same slots.
@@ -218,11 +198,17 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
       options.analyze ? 1 : ResolveMorselWorkers(options.morsel_workers);
   const Rid morsel_rows = ResolveMorselRows(options.morsel_rows);
   QueryContext* ctx = options.context.get();
-  PlanOptions plan_options = options.plan;
-  plan_options.analyze = options.analyze;
-  plan_options.batch_size = batch_size;
-  plan_options.context = ctx;  // governs spool builds and returned trees
-  Planner planner(&catalog, &graph, plan_options, &run_stats);
+  Planner planner(&catalog, &graph, options.plan, &run_stats);
+  const bool collect_profile = options.collect_profile;
+  // Plans one output's tree and instruments it for this run: governance,
+  // analyze timing and profiling are the executor's, not the planner's.
+  auto plan_output = [&](const qgm::TopOutput& out) -> Result<OperatorPtr> {
+    XNFDB_ASSIGN_OR_RETURN(OperatorPtr op, planner.BoxIterator(out.box_id));
+    if (ctx != nullptr) op->AttachContext(ctx);
+    if (options.analyze) op->EnableAnalyze();
+    if (collect_profile) op->EnableProfile();
+    return op;
+  };
 
   // Output descriptors.
   for (const qgm::TopOutput& out : top->outputs) {
@@ -274,7 +260,6 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
   // under morsel execution feedback rows and loops both sum across clones,
   // so a morsel-split driver scan reports its per-clone (not total) rows
   // per loop; with the default single worker the numbers are exact.
-  const bool collect_profile = options.collect_profile;
   std::mutex profile_mu;
   std::map<std::string, obs::OpProfile> profile_ops;
   std::map<int64_t, obs::WorkerProfile> profile_workers;  // by worker id
@@ -335,10 +320,9 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
     plans.push_back(std::move(first_plan));
     drivers.push_back(first_driver);
     for (int w = 1; w < morsel_workers; ++w) {
-      XNFDB_ASSIGN_OR_RETURN(OperatorPtr extra, planner.BoxIterator(out.box_id));
+      XNFDB_ASSIGN_OR_RETURN(OperatorPtr extra, plan_output(out));
       ScanOp* d = extra->MorselDriver();
       if (d == nullptr || d->table() != first_driver->table()) break;
-      if (collect_profile) extra->EnableProfile();
       plans.push_back(std::move(extra));
       drivers.push_back(d);
     }
@@ -362,9 +346,8 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
       }
       auto w0 = std::chrono::steady_clock::now();
       int64_t worker_rows = 0;
-      XNFDB_RETURN_IF_ERROR(plan->Open());
       Tuple scratch;
-      XNFDB_RETURN_IF_ERROR(PullRows(
+      XNFDB_RETURN_IF_ERROR(DrainRows(
           plan, batch_size, &run_stats.batches_emitted,
           [&](const Tuple& row) -> Status {
             // A batch never spans morsels (ScanOp guarantee), so the
@@ -381,7 +364,6 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
             buckets[driver->current_morsel()].Append(projected);
             return Status::Ok();
           }));
-      plan->Close();
       if (collect_profile) {
         int64_t wall_us = std::chrono::duration_cast<std::chrono::microseconds>(
                               std::chrono::steady_clock::now() - w0)
@@ -420,8 +402,8 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
 
   // Pass 1: component streams (tuple ids assigned; XNF components dedup).
   // Each output owns its buffer and tid map, so outputs evaluate in
-  // parallel when requested; spool builds are serialized by the planner and
-  // shared across workers.
+  // parallel when requested; a spool is built by whichever output opens it
+  // first, and the others wait on its latch and share it.
   XNFDB_RETURN_IF_ERROR(RunParallel(
       n_outputs, options.parallel_workers, [&](int oi) -> Status {
         const qgm::TopOutput& out = top->outputs[oi];
@@ -434,9 +416,8 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
         {
           // Null tracer: the per-output spans are opened separately.
           obs::PhaseScope phase(nullptr, options.metrics, "plan");
-          XNFDB_ASSIGN_OR_RETURN(op, planner.BoxIterator(out.box_id));
+          XNFDB_ASSIGN_OR_RETURN(op, plan_output(out));
         }
-        if (collect_profile) op->EnableProfile();
         capture_shape(oi, out, op.get());
         plan_span.End();
         obs::Span exec_span;
@@ -452,15 +433,13 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
             return run_morsel_output(oi, out, std::move(op), driver);
           }
         }
-        XNFDB_RETURN_IF_ERROR(op->Open());
         Tuple scratch;
-        XNFDB_RETURN_IF_ERROR(PullRows(
+        XNFDB_RETURN_IF_ERROR(DrainRows(
             op.get(), batch_size, &run_stats.batches_emitted,
             [&](const Tuple& row) -> Status {
               return emit_component(oi, out,
                                     ProjectCols(row, out.cols, &scratch));
             }));
-        op->Close();
         capture_plan(oi, out, op.get());
         fold_tree(oi, op.get());
         return Status::Ok();
@@ -478,17 +457,15 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
         OperatorPtr op;
         {
           obs::PhaseScope phase(nullptr, options.metrics, "plan");
-          XNFDB_ASSIGN_OR_RETURN(op, planner.BoxIterator(out.box_id));
+          XNFDB_ASSIGN_OR_RETURN(op, plan_output(out));
         }
-        if (collect_profile) op->EnableProfile();
         capture_shape(oi, out, op.get());
         obs::PhaseScope phase(nullptr, options.metrics, "execute");
-        XNFDB_RETURN_IF_ERROR(op->Open());
         std::map<std::vector<TupleId>, int64_t>* counts =
             collect_counts ? &result.connection_counts[oi] : nullptr;
         std::vector<TupleId> partner_tids;  // reused per row
         Tuple key;                          // reused partner-key scratch
-        XNFDB_RETURN_IF_ERROR(PullRows(
+        XNFDB_RETURN_IF_ERROR(DrainRows(
             op.get(), batch_size, &run_stats.batches_emitted,
             [&](const Tuple& row) -> Status {
               partner_tids.clear();
@@ -519,7 +496,6 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
               ++run_stats.rows_output;
               return Status::Ok();
             }));
-        op->Close();
         capture_plan(oi, out, op.get());
         fold_tree(oi, op.get());
         return Status::Ok();

@@ -132,9 +132,11 @@ struct ExecOptions {
   // (paper Sect. 5.1/6: applying parallelism to set-oriented CO
   // extraction). 1 = sequential.
   int parallel_workers = 1;
-  // Rows pulled per executor batch from every output's plan root (and used
-  // for plan-time spool materialization). 0 = XNFDB_BATCH_SIZE env var or
-  // 1024; 1 pulls batches of one row through the same operator code.
+  // Rows pulled per executor batch from every output's plan root. 0 =
+  // XNFDB_BATCH_SIZE env var or 1024; 1 pulls batches of one row through
+  // the same operator code. Blocking inputs (spool builds, existential
+  // groups, hash-join builds, sort and NL-join inner sides) are pulled at
+  // the default 1024 whatever this is.
   int batch_size = 0;
   // Morsel-driven intra-plan parallelism: when > 1 and an output's plan is
   // a streaming scan pipeline (filters/projections/join probe sides over a
@@ -173,8 +175,9 @@ struct ExecOptions {
   // fills these with its own tracer/registry when left null.
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
-  // Resource-governance context (exec/query_context.h). When set, every
-  // operator, morsel worker, spool build, and output pass checks it
+  // Resource-governance context (exec/query_context.h). When set, the
+  // executor attaches it to every planned tree, and every operator, morsel
+  // worker, spool build, existential group and output pass checks it
   // cooperatively and charges produced rows / materialized bytes against
   // its limits. Shared so Database::Cancel can flip the flag while the
   // executor owns it. Null = ungoverned (no per-row overhead beyond one

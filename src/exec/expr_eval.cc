@@ -31,12 +31,6 @@ size_t Layout::TotalWidth() const {
   return width;
 }
 
-std::vector<int> Layout::QuantIds() const {
-  std::vector<int> ids;
-  for (const Slot& s : slots_) ids.push_back(s.id);
-  return ids;
-}
-
 void Layout::Append(const Layout& other, size_t shift) {
   for (const Slot& s : other.slots_) {
     Add(s.id, s.offset + shift, s.arity);

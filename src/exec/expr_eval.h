@@ -24,9 +24,7 @@ class Layout {
   void Add(int quant_id, size_t offset, size_t arity);
   bool Has(int quant_id) const { return Find(quant_id) != nullptr; }
   size_t Offset(int quant_id) const { return Find(quant_id)->offset; }
-  size_t Arity(int quant_id) const { return Find(quant_id)->arity; }
   size_t TotalWidth() const;
-  std::vector<int> QuantIds() const;
 
   // Merges `other`, shifting its offsets by `shift`.
   void Append(const Layout& other, size_t shift);
@@ -38,7 +36,7 @@ class Layout {
     size_t arity;
   };
 
-  // Null when absent; Offset/Arity require a present id (as the old
+  // Null when absent; Offset requires a present id (as the old
   // map::at did, minus the exception).
   const Slot* Find(int quant_id) const {
     for (const Slot& s : slots_) {

@@ -189,24 +189,6 @@ uint64_t PlanShapeHash(const std::string& shape) {
 
 namespace {
 
-// Opens `op`, hands every row it produces to `keep` (const Tuple& ->
-// Status) in batches of up to `batch_size` rows, and closes it.
-template <typename KeepFn>
-Status DrainRows(Operator* op, int batch_size, const KeepFn& keep) {
-  XNFDB_RETURN_IF_ERROR(op->Open());
-  TupleBatch batch(BatchCapacityFor(
-      op->estimated_rows(), static_cast<size_t>(std::max(batch_size, 1))));
-  while (true) {
-    XNFDB_ASSIGN_OR_RETURN(bool more, op->NextBatch(&batch));
-    if (!more) break;
-    for (size_t i = 0; i < batch.ActiveCount(); ++i) {
-      XNFDB_RETURN_IF_ERROR(keep(batch.Active(i)));
-    }
-  }
-  op->Close();
-  return Status::Ok();
-}
-
 // True when every predicate in `preds` holds for `row`.
 Result<bool> AllPass(const std::vector<const qgm::Expr*>& preds,
                      const Layout& layout, RowView row) {
@@ -236,26 +218,27 @@ Status AppendJoined(const Tuple& left, RowView right,
 
 Result<std::vector<Tuple>> DrainOperator(Operator* op, int batch_size) {
   std::vector<Tuple> rows;
-  XNFDB_RETURN_IF_ERROR(DrainRows(op, batch_size, [&](const Tuple& row) {
-    rows.push_back(row);
-    return Status::Ok();
-  }));
+  XNFDB_RETURN_IF_ERROR(
+      DrainRows(op, batch_size, nullptr, [&](const Tuple& row) {
+        rows.push_back(row);
+        return Status::Ok();
+      }));
   return rows;
 }
 
-Status DrainInto(Operator* op, int batch_size, QueryContext* ctx,
-                 RowStore* out) {
+Status DrainInto(Operator* op, QueryContext* ctx, RowStore* out) {
   out->Reset(op->estimated_rows());
-  return DrainRows(op, batch_size, [&](const Tuple& row) -> Status {
-    if (!out->empty() && row.size() != out->width()) {
-      return Status::Internal("materialized rows differ in width");
-    }
-    if (ctx != nullptr) {
-      XNFDB_RETURN_IF_ERROR(ctx->ReserveBytes(ApproxTupleBytes(row)));
-    }
-    out->Append(row);
-    return Status::Ok();
-  });
+  return DrainRows(
+      op, kDefaultBatchSize, nullptr, [&](const Tuple& row) -> Status {
+        if (!out->empty() && row.size() != out->width()) {
+          return Status::Internal("materialized rows differ in width");
+        }
+        if (ctx != nullptr) {
+          XNFDB_RETURN_IF_ERROR(ctx->ReserveBytes(ApproxTupleBytes(row)));
+        }
+        out->Append(row);
+        return Status::Ok();
+      });
 }
 
 // --- sources ---------------------------------------------------------------
@@ -352,9 +335,25 @@ Result<bool> RangeScanOp::NextBatchImpl(TupleBatch* out) {
   return !out->Empty();
 }
 
-Result<bool> MaterializedOp::NextBatchImpl(TupleBatch* out) {
-  while (pos_ < rows_->size() && !out->Full()) {
-    rows_->CopyRow(pos_++, &out->AppendRow());
+Status SpoolReadOp::OpenImpl() {
+  pos_ = 0;
+  std::lock_guard<std::mutex> lock(spool_->mu);
+  if (spool_->child == nullptr) return spool_->status;
+  spool_->child->AttachContext(context());
+  spool_->status = DrainInto(spool_->child.get(), context(), &spool_->rows);
+  spool_->child.reset();
+  if (!spool_->status.ok()) {
+    spool_->rows.Reset(0);  // never served: release what was drained
+  } else if (stats_ != nullptr) {
+    ++stats_->spool_builds;
+  }
+  return spool_->status;
+}
+
+Result<bool> SpoolReadOp::NextBatchImpl(TupleBatch* out) {
+  const RowStore& rows = spool_->rows;
+  while (pos_ < rows.size() && !out->Full()) {
+    rows.CopyRow(pos_++, &out->AppendRow());
     if (stats_ != nullptr) ++stats_->spool_read_rows;
   }
   if (!out->Empty() && stats_ != nullptr) ++stats_->batches_spool;
@@ -430,8 +429,7 @@ Result<bool> DistinctOp::NextBatchImpl(TupleBatch* out) {
 Status SortOp::OpenImpl() {
   // Blocking inputs are consumed whole, so they are pulled at the default
   // batch size whatever the query's batch size (as hash-join builds are).
-  XNFDB_RETURN_IF_ERROR(
-      DrainInto(child_.get(), kDefaultBatchSize, context(), &rows_));
+  XNFDB_RETURN_IF_ERROR(DrainInto(child_.get(), context(), &rows_));
   order_.resize(rows_.size());
   for (size_t i = 0; i < order_.size(); ++i) {
     order_[i] = static_cast<uint32_t>(i);
@@ -583,8 +581,7 @@ Result<bool> HashJoinOp::NextBatchImpl(TupleBatch* out) {
 Status NLJoinOp::OpenImpl() {
   XNFDB_RETURN_IF_ERROR(left_->Open());
   // The inner side is consumed whole: pulled at the default batch size.
-  XNFDB_RETURN_IF_ERROR(
-      DrainInto(right_.get(), kDefaultBatchSize, context(), &inner_));
+  XNFDB_RETURN_IF_ERROR(DrainInto(right_.get(), context(), &inner_));
   left_batch_.Clear();
   left_pos_ = 0;
   inner_pos_ = 0;
@@ -624,12 +621,21 @@ Result<bool> NLJoinOp::NextBatchImpl(TupleBatch* out) {
 // --- existential checks ----------------------------------------------------------
 
 Status ExistsFilterOp::OpenImpl() {
-  // Index builds are deferred to the first probe (EnsureIndex): when the
-  // probe side is empty, or a governor deadline/cancel has already expired,
-  // no group index is ever paid for. Safe because every probe loop — a
-  // sequential one or a morsel worker's — runs on this instance's single
-  // thread (morsel workers each own a full plan clone).
+  // Group rows and indexes are deferred to the first probe (EnsureRows,
+  // EnsureIndex): when the probe side is empty, or a governor
+  // deadline/cancel has already expired, no group is ever paid for. Safe
+  // because every probe loop — a sequential one or a morsel worker's —
+  // runs on this instance's single thread (morsel workers each own a full
+  // plan clone).
   return child_->Open();
+}
+
+Status ExistsFilterOp::EnsureRows(GroupCheck* g) {
+  if (g->op == nullptr) return Status::Ok();
+  g->op->AttachContext(context());
+  XNFDB_RETURN_IF_ERROR(DrainInto(g->op.get(), context(), &g->rows));
+  g->op.reset();
+  return Status::Ok();
 }
 
 Status ExistsFilterOp::EnsureIndex(GroupCheck* g) {
@@ -640,11 +646,12 @@ Status ExistsFilterOp::EnsureIndex(GroupCheck* g) {
   if (context() != nullptr) {
     XNFDB_RETURN_IF_ERROR(context()->Check());
   }
-  g->keys.Reset(static_cast<double>(g->rows->size()));
+  XNFDB_RETURN_IF_ERROR(EnsureRows(g));
+  g->keys.Reset(static_cast<double>(g->rows.size()));
   g->key_rows.clear();
   g->index.Clear();
   Tuple& key = probe_key_;  // scratch: no probe is in flight during a build
-  for (size_t i = 0; i < g->rows->size(); ++i) {
+  for (size_t i = 0; i < g->rows.size(); ++i) {
     if (context() != nullptr && i > 0 && (i % 1024) == 0) {
       XNFDB_RETURN_IF_ERROR(context()->Check());
     }
@@ -652,7 +659,7 @@ Status ExistsFilterOp::EnsureIndex(GroupCheck* g) {
     bool null_key = false;
     for (const qgm::Expr* k : g->equi_inner) {
       XNFDB_ASSIGN_OR_RETURN(Value v,
-                             EvalExpr(*k, g->group_layout, g->rows->Row(i)));
+                             EvalExpr(*k, g->group_layout, g->rows.Row(i)));
       if (v.is_null()) null_key = true;
       key.push_back(std::move(v));
     }
@@ -697,16 +704,17 @@ Result<bool> ExistsFilterOp::GroupMatches(GroupCheck* g, const Tuple& outer) {
     for (; m != RowHashIndex::kNone; m = g->index.NextDuplicate(m)) {
       if (stats_ != nullptr) ++stats_->exists_probes;
       XNFDB_ASSIGN_OR_RETURN(
-          bool pass, ResidualPasses(*g, outer, g->rows->Row(g->key_rows[m])));
+          bool pass, ResidualPasses(*g, outer, g->rows.Row(g->key_rows[m])));
       if (pass) return true;
     }
     return false;
   }
   // Naive path: scan every materialized group row (this is the per-outer-row
   // subquery execution the rewrite optimization eliminates).
-  for (size_t r = 0; r < g->rows->size(); ++r) {
+  XNFDB_RETURN_IF_ERROR(EnsureRows(g));
+  for (size_t r = 0; r < g->rows.size(); ++r) {
     if (stats_ != nullptr) ++stats_->exists_probes;
-    RowView group_row = g->rows->Row(r);
+    RowView group_row = g->rows.Row(r);
     bool pass = true;
     // In naive mode, equi pairs are evaluated like ordinary predicates.
     for (size_t i = 0; i < g->equi_outer.size(); ++i) {
@@ -958,9 +966,13 @@ void RangeScanOp::ExplainImpl(int depth, std::string* out) const {
   SelfLine(depth, "RangeScan(" + range + ")", out);
 }
 
-void MaterializedOp::ExplainImpl(int depth, std::string* out) const {
+void SpoolReadOp::ExplainImpl(int depth, std::string* out) const {
+  std::lock_guard<std::mutex> lock(spool_->mu);
   SelfLine(depth,
-              "SpoolRead(" + std::to_string(rows_->size()) + " rows)", out);
+           spool_->child == nullptr && spool_->status.ok()
+               ? "SpoolRead(" + std::to_string(spool_->rows.size()) + " rows)"
+               : std::string("SpoolRead(not built)"),
+           out);
 }
 
 void MatViewScanOp::ExplainImpl(int depth, std::string* out) const {
@@ -1034,8 +1046,10 @@ void ExistsFilterOp::ExplainImpl(int depth, std::string* out) const {
   SelfLine(depth, line, out);
   for (const GroupCheck& g : groups_) {
     ExplainLine(depth + 1,
-                std::string(g.negated ? "anti-" : "") + "group over " +
-                    std::to_string(g.rows->size()) + " materialized rows, " +
+                std::string(g.negated ? "anti-" : "") + "group " +
+                    (g.op == nullptr ? "over " + std::to_string(g.rows.size()) +
+                                           " materialized rows, "
+                                     : std::string("not built, ")) +
                     std::to_string(g.equi_outer.size()) + " hash key(s)",
                 out);
   }

@@ -4,9 +4,9 @@
 // pipelined iterators (Open / NextBatch / Close). Each QEP operator consumes
 // one or more input streams and produces an output stream of tuple batches
 // (exec/batch.h); NextBatch is the only pull protocol, and batch_size = 1 is
-// simply a batch of one. Shared common subexpressions are realized by Spool
-// buffers: a producer is run once and any number of readers iterate the
-// materialized result.
+// simply a batch of one. Shared common subexpressions are realized by
+// spools: the first reader to open one runs its producer once, and every
+// reader iterates the materialized result.
 //
 // The public Open/NextBatch/Close entry points are non-virtual wrappers that
 // maintain per-operator actuals (loop, row and batch counts always;
@@ -16,8 +16,10 @@
 #ifndef XNFDB_EXEC_OPERATORS_H_
 #define XNFDB_EXEC_OPERATORS_H_
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -226,18 +228,39 @@ uint64_t PlanShapeHash(const std::string& shape);
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
+// Opens `op`, hands every row it produces to `keep` (const Tuple& ->
+// Status) in batches of up to `batch_size` rows (<= 1: batches of one),
+// and closes it; each batch bumps `*batches` when set. Rows stay in their
+// batch slots, which keep their capacity.
+template <typename KeepFn>
+Status DrainRows(Operator* op, int batch_size, StatCounter* batches,
+                 const KeepFn& keep) {
+  XNFDB_RETURN_IF_ERROR(op->Open());
+  TupleBatch batch(BatchCapacityFor(
+      op->estimated_rows(), static_cast<size_t>(std::max(batch_size, 1))));
+  while (true) {
+    XNFDB_ASSIGN_OR_RETURN(bool more, op->NextBatch(&batch));
+    if (!more) break;
+    if (batches != nullptr) ++*batches;
+    for (size_t i = 0; i < batch.ActiveCount(); ++i) {
+      XNFDB_RETURN_IF_ERROR(keep(batch.Active(i)));
+    }
+  }
+  op->Close();
+  return Status::Ok();
+}
+
 // Drains `op` completely (Open/NextBatch*/Close) into a vector, pulling
 // batches of `batch_size` rows (<= 1: batches of one).
 Result<std::vector<Tuple>> DrainOperator(Operator* op, int batch_size = 1);
 
-// The one materialization path of plan-time drains (spools, existential
-// group builds) and of blocking operators' inputs (sort buffer, NL-join
-// inner side): drains `op` completely into `*out`, whose first chunk — and
-// the pull batch — are sized from the operator's row estimate. Rows are
+// The one materialization path of every operator that keeps an input whole
+// (spool builds, existential groups, sort buffer, NL-join inner side):
+// drains `op` completely into `*out` in default-size batches, sized down to
+// the operator's row estimate, as is the store's first chunk. Rows are
 // copied out of the batch, so its slots keep their capacity. When `ctx` is
 // set, every drained row's bytes are charged against its memory budget.
-Status DrainInto(Operator* op, int batch_size, QueryContext* ctx,
-                 RowStore* out);
+Status DrainInto(Operator* op, QueryContext* ctx, RowStore* out);
 
 // --- sources ---------------------------------------------------------------
 
@@ -383,8 +406,8 @@ class RangeScanOp : public Operator {
 
 // Reader over a server-side materialized view (src/matview/): serves the
 // stored rows of one output stream without re-running the join tree. Like
-// MaterializedOp but with matview provenance: Kind/ShapeToken carry the
-// view name, so SYS$PLAN_HISTORY witnesses the plan flip and EXPLAIN shows
+// SpoolReadOp but with matview provenance: Kind/ShapeToken carry the view
+// name, so SYS$PLAN_HISTORY witnesses the plan flip and EXPLAIN shows
 // `matview=<name>`.
 class MatViewScanOp : public Operator {
  public:
@@ -417,26 +440,44 @@ class MatViewScanOp : public Operator {
   size_t pos_ = 0;
 };
 
-// Reader over a materialized (spooled) buffer.
-class MaterializedOp : public Operator {
+// One shared box's spool (paper Sect. 4.2: a common subexpression is
+// materialized once and read many times). The planner compiles the box's
+// subtree once into `child`; the first reader to Open drains it into `rows`
+// and releases it while holding `mu`, so readers that open concurrently —
+// parallel outputs, morsel clones — wait on the latch and then read the
+// finished rows without it. The build's outcome is kept in `status`: a
+// failed build is handed to every reader and never served.
+struct SpoolState {
+  explicit SpoolState(OperatorPtr producer) : child(std::move(producer)) {}
+
+  std::mutex mu;      // the latch, held for the whole build
+  OperatorPtr child;  // guarded by mu; null once built
+  Status status;      // guarded by mu; the build's outcome
+  RowStore rows;      // immutable once built
+};
+
+// Reader of one SpoolState; the planner returns one per consumer of a
+// shared box. The spool subtree is not among its Children(), so plan shapes
+// read `spool_read` whether or not the spool is built yet.
+class SpoolReadOp : public Operator {
  public:
-  MaterializedOp(std::shared_ptr<const RowStore> rows, ExecStats* stats)
-      : rows_(std::move(rows)), stats_(stats) {}
+  SpoolReadOp(std::shared_ptr<SpoolState> spool, ExecStats* stats)
+      : spool_(std::move(spool)), stats_(stats) {}
 
   const char* Kind() const override { return "spool_read"; }
 
  protected:
-  Status OpenImpl() override {
-    pos_ = 0;
-    return Status::Ok();
-  }
+  // Builds the spool if no reader has yet: drains the producer under this
+  // reader's governance context, at the default batch size (it is a
+  // blocking input), and counts one spool build.
+  Status OpenImpl() override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override {}
 
   void ExplainImpl(int depth, std::string* out) const override;
 
  private:
-  std::shared_ptr<const RowStore> rows_;
+  std::shared_ptr<SpoolState> spool_;
   ExecStats* stats_;
   size_t pos_ = 0;
 };
@@ -703,11 +744,16 @@ class NLJoinOp : public Operator {
 
 // --- existential checks --------------------------------------------------------
 
-// One alternative of a disjunctive existential predicate, pre-materialized.
+// One alternative of a disjunctive existential predicate.
 struct GroupCheck {
   bool negated = false;  // NOT EXISTS / NOT IN semantics
 
-  std::shared_ptr<const RowStore> rows;  // group-side joined rows
+  // The group-side join tree, drained into `rows` and released (null) by
+  // the first probe that needs the group, so a group no outer row reaches
+  // is never built. Morsel workers each own a full plan clone, so a group
+  // is only ever filled and probed by one thread.
+  OperatorPtr op;
+  RowStore rows;
   Layout group_layout;    // offsets within a group row (unshifted)
   Layout combined_layout; // outer layout + group layout shifted
 
@@ -718,9 +764,7 @@ struct GroupCheck {
   // Remaining correlated predicates over the combined layout.
   std::vector<const qgm::Expr*> residual;
 
-  // Hash over `rows` keyed by equi_inner, built lazily by the first probe
-  // that reaches this group (morsel workers each own a full plan clone, so
-  // a group is only ever probed — and built — by one thread). Key row k of
+  // Hash over `rows` keyed by equi_inner, built with the rows. Key row k of
   // `keys` belongs to group row key_rows[k]; rows with a NULL key are not
   // indexed.
   RowStore keys;
@@ -753,10 +797,10 @@ class ExistsFilterOp : public Operator {
   const char* Kind() const override { return "exists"; }
 
  protected:
-  // Opens only the child: group hash indexes are built lazily by the first
-  // probe that needs them (EnsureIndex), so an empty probe side — or a
-  // governor deadline/cancel that fires before the first row — never pays
-  // the build cost.
+  // Opens only the child: a group's rows and hash index are built by the
+  // first probe that needs them (EnsureRows, EnsureIndex), so an empty
+  // probe side — or a governor deadline/cancel that fires before the first
+  // row — never pays the build cost.
   Status OpenImpl() override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override { child_->Close(); }
@@ -764,6 +808,9 @@ class ExistsFilterOp : public Operator {
   void ExplainImpl(int depth, std::string* out) const override;
 
  private:
+  // Drains `g`'s join tree into its rows if not yet filled, under this
+  // operator's governance context.
+  Status EnsureRows(GroupCheck* g);
   // Builds `g`'s hash index if not yet built; checks the governor before
   // and during the build so budget terminations fire first.
   Status EnsureIndex(GroupCheck* g);

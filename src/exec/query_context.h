@@ -3,7 +3,8 @@
 //
 // One QueryContext is shared by everything that runs on behalf of a single
 // query: the executor's output passes, morsel workers, the recursive
-// fixpoint evaluator, and plan-time spool/materialization builds. All state
+// fixpoint evaluator, and the spool and existential-group builds their
+// operators run on first read. All state
 // is atomic, so any thread may flip the cancellation flag (Database::Cancel,
 // shell `.kill`) while worker threads are mid-pipeline; workers observe it
 // at the next batch boundary and unwind by returning a typed Status

@@ -443,16 +443,15 @@ Status MatViewStore::ApplyDeltaLocked(const Catalog& catalog, Entry* e,
     std::map<std::string, Table*> overrides{{table, &delta}};
     ExecStats stats;
     PlanOptions popts;
-    popts.batch_size = ResolveBatchSize(0);
     popts.table_overrides = &overrides;
     Planner planner(&catalog, e->graph.get(), popts, &stats);
+    const size_t batch_size = static_cast<size_t>(ResolveBatchSize(0));
     for (int oi : affected) {
       const qgm::TopOutput& o = top->outputs[oi];
       XNFDB_ASSIGN_OR_RETURN(OperatorPtr op, planner.BoxIterator(o.box_id));
       XNFDB_RETURN_IF_ERROR(op->Open());
       std::vector<Tuple>& bucket = (*out)[oi];
-      TupleBatch batch(BatchCapacityFor(
-          op->estimated_rows(), static_cast<size_t>(popts.batch_size)));
+      TupleBatch batch(BatchCapacityFor(op->estimated_rows(), batch_size));
       Status st = Status::Ok();
       while (st.ok()) {
         Result<bool> more = op->NextBatch(&batch);

@@ -22,7 +22,7 @@ bool BoundBy(const Expr& e, const std::set<int>& allowed) {
   for (int q : used) {
     if (allowed.count(q) == 0) return false;
   }
-  return used.empty() || true;
+  return true;
 }
 
 bool ReferencesAny(const Expr& e, const std::set<int>& quants) {
@@ -32,6 +32,18 @@ bool ReferencesAny(const Expr& e, const std::set<int>& quants) {
     if (quants.count(q) != 0) return true;
   }
   return false;
+}
+
+// Splits a `column OP literal` or `literal OP column` comparison into its
+// column and literal; `*flipped` is set for the literal-first form.
+bool ColumnVsLiteral(const Expr& p, const Expr** col, const Expr** lit,
+                     bool* flipped) {
+  if (p.kind != Expr::Kind::kBinary) return false;
+  *flipped = p.lhs->kind == Expr::Kind::kLiteral;
+  *col = *flipped ? p.rhs.get() : p.lhs.get();
+  *lit = *flipped ? p.lhs.get() : p.rhs.get();
+  return (*col)->kind == Expr::Kind::kColRef &&
+         (*lit)->kind == Expr::Kind::kLiteral;
 }
 
 bool ContainsAgg(const Expr& e) {
@@ -69,40 +81,29 @@ class OneRowOp : public Operator {
 }  // namespace
 
 Result<OperatorPtr> Planner::BoxIterator(int box_id) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
+  return Iterator(box_id);
+}
+
+double Planner::EstimateCard(int box_id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return Card(box_id);
+}
+
+Result<OperatorPtr> Planner::Iterator(int box_id) {
   const Box* box = graph_->box(box_id);
   bool shared = options_.spool_shared &&
                 graph_->ConsumerRefCount(box_id) > 1 &&
                 box->kind != BoxKind::kBaseTable;
-  if (shared) {
-    XNFDB_ASSIGN_OR_RETURN(auto rows, MaterializeBox(box_id));
-    OperatorPtr op = std::make_unique<MaterializedOp>(rows, stats_);
-    // The spool is already materialized: the "estimate" is exact.
-    op->SetEstimatedRows(static_cast<double>(rows->size()));
-    if (options_.analyze) op->EnableAnalyze();
-    if (options_.context != nullptr) op->AttachContext(options_.context);
-    return op;
+  if (!shared) return CompileBox(box_id);
+  std::shared_ptr<SpoolState>& spool = spools_[box_id];
+  if (spool == nullptr) {
+    XNFDB_ASSIGN_OR_RETURN(OperatorPtr producer, CompileBox(box_id));
+    spool = std::make_shared<SpoolState>(std::move(producer));
   }
-  XNFDB_ASSIGN_OR_RETURN(OperatorPtr op, CompileBox(box_id));
-  if (options_.analyze) op->EnableAnalyze();
-  if (options_.context != nullptr) op->AttachContext(options_.context);
+  OperatorPtr op = std::make_unique<SpoolReadOp>(spool, stats_);
+  op->SetEstimatedRows(Card(box_id));
   return op;
-}
-
-Result<std::shared_ptr<const RowStore>> Planner::MaterializeBox(int box_id) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  auto it = spools_.find(box_id);
-  if (it != spools_.end()) return it->second;
-  XNFDB_ASSIGN_OR_RETURN(OperatorPtr op, CompileBox(box_id));
-  // Spool builds run plan-time: attach governance so a cancel/deadline/
-  // budget cuts the drain short, and charge the spooled rows.
-  if (options_.context != nullptr) op->AttachContext(options_.context);
-  auto rows = std::make_shared<RowStore>();
-  XNFDB_RETURN_IF_ERROR(DrainInto(op.get(), options_.batch_size,
-                                  options_.context, rows.get()));
-  if (stats_ != nullptr) ++stats_->spool_builds;
-  spools_[box_id] = rows;
-  return std::shared_ptr<const RowStore>(std::move(rows));
 }
 
 Table* Planner::OverrideFor(const std::string& name) const {
@@ -148,7 +149,7 @@ Result<OperatorPtr> Planner::CompileBox(int box_id) {
                               qgm::BoxKindName(box->kind) + " box directly");
   }
   if (op == nullptr) return Status::Internal("unknown box kind");
-  if (op->estimated_rows() < 0) op->SetEstimatedRows(EstimateCard(box_id));
+  if (op->estimated_rows() < 0) op->SetEstimatedRows(Card(box_id));
   return op;
 }
 
@@ -156,8 +157,8 @@ Result<OperatorPtr> Planner::CompileUnion(const Box& box) {
   std::vector<OperatorPtr> children;
   double est = 0;
   for (int in : box.union_inputs) {
-    XNFDB_ASSIGN_OR_RETURN(OperatorPtr c, BoxIterator(in));
-    est += EstimateCard(in);
+    XNFDB_ASSIGN_OR_RETURN(OperatorPtr c, Iterator(in));
+    est += Card(in);
     children.push_back(std::move(c));
   }
   OperatorPtr u = std::make_unique<UnionOp>(std::move(children));
@@ -186,25 +187,16 @@ Result<OperatorPtr> Planner::QuantSource(const Quantifier& q,
                            catalog_->GetTable(source->table_name));
     for (size_t i = 0; i < pushed.size(); ++i) {
       const Expr* p = pushed[i];
-      if (p->kind != Expr::Kind::kBinary || p->op != "=") continue;
-      const Expr* col = nullptr;
-      const Expr* lit = nullptr;
-      if (p->lhs->kind == Expr::Kind::kColRef &&
-          p->rhs->kind == Expr::Kind::kLiteral) {
-        col = p->lhs.get();
-        lit = p->rhs.get();
-      } else if (p->rhs->kind == Expr::Kind::kColRef &&
-                 p->lhs->kind == Expr::Kind::kLiteral) {
-        col = p->rhs.get();
-        lit = p->lhs.get();
-      } else {
+      const Expr *col, *lit;
+      bool flipped;
+      if (!ColumnVsLiteral(*p, &col, &lit, &flipped) || p->op != "=" ||
+          table->GetIndex(col->column) == nullptr) {
         continue;
       }
-      if (table->GetIndex(col->column) == nullptr) continue;
       op = std::make_unique<IndexScanOp>(table, col->column, lit->literal,
                                          stats_);
       op->SetEstimatedRows(
-          std::max(EstimateCard(q.box_id) * PredSelectivity(*p), 1.0));
+          std::max(Card(q.box_id) * PredSelectivity(*p), 1.0));
       pushed.erase(pushed.begin() + i);
       break;
     }
@@ -224,25 +216,16 @@ Result<OperatorPtr> Planner::QuantSource(const Quantifier& q,
     std::vector<size_t> used;
     for (size_t i = 0; i < pushed.size(); ++i) {
       const Expr* p = pushed[i];
-      if (p->kind != Expr::Kind::kBinary) continue;
+      const Expr *col, *lit;
+      bool flipped;
+      if (!ColumnVsLiteral(*p, &col, &lit, &flipped)) continue;
       std::string op_name = p->op;
-      const Expr* col = nullptr;
-      const Expr* lit = nullptr;
-      if (p->lhs->kind == Expr::Kind::kColRef &&
-          p->rhs->kind == Expr::Kind::kLiteral) {
-        col = p->lhs.get();
-        lit = p->rhs.get();
-      } else if (p->rhs->kind == Expr::Kind::kColRef &&
-                 p->lhs->kind == Expr::Kind::kLiteral) {
-        col = p->rhs.get();
-        lit = p->lhs.get();
+      if (flipped) {
         // Flip the comparison: lit OP col == col flipped(OP) lit.
         if (op_name == "<") op_name = ">";
         else if (op_name == "<=") op_name = ">=";
         else if (op_name == ">") op_name = "<";
         else if (op_name == ">=") op_name = "<=";
-      } else {
-        continue;
       }
       if (op_name != "=" && op_name != "<" && op_name != "<=" &&
           op_name != ">" && op_name != ">=") {
@@ -285,14 +268,14 @@ Result<OperatorPtr> Planner::QuantSource(const Quantifier& q,
       op = std::make_unique<RangeScanOp>(table, best_col, std::move(lo),
                                          lo_inc, std::move(hi), hi_inc,
                                          stats_);
-      op->SetEstimatedRows(std::max(EstimateCard(q.box_id) * sel, 1.0));
+      op->SetEstimatedRows(std::max(Card(q.box_id) * sel, 1.0));
       for (auto it = used.rbegin(); it != used.rend(); ++it) {
         pushed.erase(pushed.begin() + *it);
       }
     }
   }
   if (op == nullptr) {
-    XNFDB_ASSIGN_OR_RETURN(op, BoxIterator(q.box_id));
+    XNFDB_ASSIGN_OR_RETURN(op, Iterator(q.box_id));
   }
   if (!pushed.empty()) {
     Layout layout;
@@ -321,15 +304,9 @@ double Planner::PredSelectivity(const Expr& pred) {
   if (pred.kind == Expr::Kind::kBinary) {
     if (pred.op == "=") {
       // col = literal against a base column: 1/distinct.
-      const Expr* col = nullptr;
-      if (pred.lhs->kind == Expr::Kind::kColRef &&
-          pred.rhs->kind == Expr::Kind::kLiteral) {
-        col = pred.lhs.get();
-      } else if (pred.rhs->kind == Expr::Kind::kColRef &&
-                 pred.lhs->kind == Expr::Kind::kLiteral) {
-        col = pred.rhs.get();
-      }
-      if (col != nullptr) {
+      const Expr *col, *lit;
+      bool flipped;
+      if (ColumnVsLiteral(pred, &col, &lit, &flipped)) {
         if (const Table* t = StatsTableFor(col->quant_id)) {
           size_t d = t->GetColumnStats(col->column).distinct;
           if (d > 0) return 1.0 / static_cast<double>(d);
@@ -367,8 +344,7 @@ double Planner::PredSelectivity(const Expr& pred) {
   return 0.5;
 }
 
-double Planner::EstimateCard(int box_id) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+double Planner::Card(int box_id) {
   auto it = card_cache_.find(box_id);
   if (it != card_cache_.end()) return it->second;
   card_cache_[box_id] = 1000.0;  // cycle guard
@@ -393,7 +369,7 @@ double Planner::EstimateCard(int box_id) {
     }
     case BoxKind::kSelect: {
       for (const Quantifier& q : box->quants) {
-        if (q.kind == QuantKind::kForeach) card *= EstimateCard(q.box_id);
+        if (q.kind == QuantKind::kForeach) card *= Card(q.box_id);
       }
       for (const qgm::ExprPtr& p : box->preds) {
         card *= PredSelectivity(*p);
@@ -407,7 +383,7 @@ double Planner::EstimateCard(int box_id) {
     }
     case BoxKind::kUnion: {
       card = 0;
-      for (int in : box->union_inputs) card += EstimateCard(in);
+      for (int in : box->union_inputs) card += Card(in);
       break;
     }
     default:
@@ -420,7 +396,7 @@ double Planner::EstimateCard(int box_id) {
 
 double Planner::QuantCard(const Quantifier& q,
                           const std::vector<const Expr*>& pushed) {
-  double card = EstimateCard(q.box_id);
+  double card = Card(q.box_id);
   for (const Expr* p : pushed) card *= PredSelectivity(*p);
   return std::max(card, 1.0);
 }
@@ -615,13 +591,8 @@ Result<OperatorPtr> Planner::CompileSelect(const Box& box) {
         gquants.push_back(box.FindQuant(qid));
       }
       Layout group_layout;
-      XNFDB_ASSIGN_OR_RETURN(OperatorPtr gop,
+      XNFDB_ASSIGN_OR_RETURN(check.op,
                              BuildJoinTree(gquants, internal, &group_layout));
-      if (options_.context != nullptr) gop->AttachContext(options_.context);
-      auto rows = std::make_shared<RowStore>();
-      XNFDB_RETURN_IF_ERROR(DrainInto(gop.get(), options_.batch_size,
-                                      options_.context, rows.get()));
-      check.rows = std::move(rows);
       check.group_layout = group_layout;
       check.combined_layout = layout;
       check.combined_layout.Append(group_layout, layout.TotalWidth());

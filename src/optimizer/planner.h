@@ -11,6 +11,11 @@
 //  * common-subexpression sharing — boxes with more than one consumer are
 //    spooled (materialized once, read many times), which realizes the
 //    multi-query optimization the XNF rewrite sets up (Sect. 4.2, 5.1).
+//
+// The planner only plans: it compiles operator trees and runs none of
+// them. A spool is filled by its first reader and an existential group by
+// its first probe, both under the executor, so their work is billed to
+// execution and governed by the context the executor attaches.
 
 #ifndef XNFDB_OPTIMIZER_PLANNER_H_
 #define XNFDB_OPTIMIZER_PLANNER_H_
@@ -32,19 +37,10 @@ struct PlanOptions {
   bool use_hash_join = true;  // false => nested-loop joins only
   bool naive_exists = false;  // per-outer-row subquery scans (Sect. 3.2 naive)
   bool spool_shared = true;   // false => recompute shared boxes per consumer
-  // EXPLAIN ANALYZE: operators returned by BoxIterator measure inclusive
-  // wall time per Open/NextBatch call (row/loop/batch counting is always
-  // on).
-  bool analyze = false;
-  // Pull granularity for plan-time materialization (spools, existential
-  // group builds): rows per batch, <= 1 meaning batches of one. The
-  // executor passes its resolved ExecOptions::batch_size through here.
+  // Not read by the planner: spools and existential groups fill at the
+  // default batch size, and callers pull the returned trees at their own.
+  // Kept for callers outside src/ that size their pull batch from it.
   int batch_size = 1;
-  // Resource-governance context (exec/query_context.h), not owned; must
-  // outlive the planner and its operators. When set, BoxIterator attaches
-  // it to every returned tree and plan-time materializations (spools,
-  // existential group builds) charge their rows against its memory budget.
-  QueryContext* context = nullptr;
   // Base-table substitution (matview delta propagation): a box referencing
   // table `name` scans the mapped transient table instead of the catalog
   // one. Overridden tables never take index access paths — delta tables
@@ -52,31 +48,33 @@ struct PlanOptions {
   const std::map<std::string, Table*>* table_overrides = nullptr;
 };
 
-// Compiles boxes of one QueryGraph into operators. The planner owns the
-// spool buffers; it must outlive the operators it creates. The graph and
-// catalog must outlive the planner.
+// Compiles boxes of one QueryGraph into operators. The graph and catalog
+// must outlive the planner and the operators it creates; the operators
+// share ownership of spool state, so they may outlive the planner.
 //
-// Thread safety: plan compilation (BoxIterator / MaterializeBox /
-// EstimateCard) is serialized internally, so several workers may compile
-// and then *execute* their operator trees concurrently (spool buffers are
-// immutable once built; base tables are read-only during query execution).
+// Thread safety: BoxIterator and EstimateCard take one plain mutex, so
+// several workers may compile and then execute their operator trees
+// concurrently. Readers of one spool share its state: the first to open it
+// fills it under the spool's latch, the others wait and then read the
+// finished rows (base tables are read-only during query execution).
 class Planner {
  public:
   Planner(const Catalog* catalog, const qgm::QueryGraph* graph,
           PlanOptions options, ExecStats* stats)
       : catalog_(catalog), graph_(graph), options_(options), stats_(stats) {}
 
-  // An iterator producing the head rows of `box_id`. Shared boxes read from
-  // a spool that is populated on first use.
+  // An iterator producing the head rows of `box_id`. A shared box is
+  // compiled once; each call returns a new reader of its spool.
   Result<OperatorPtr> BoxIterator(int box_id);
-
-  // Materialized head rows of `box_id` (cached).
-  Result<std::shared_ptr<const RowStore>> MaterializeBox(int box_id);
 
   // Estimated output cardinality of `box_id`.
   double EstimateCard(int box_id);
 
  private:
+  // BoxIterator / EstimateCard with mu_ held.
+  Result<OperatorPtr> Iterator(int box_id);
+  double Card(int box_id);
+
   Result<OperatorPtr> CompileBox(int box_id);
   Result<OperatorPtr> CompileSelect(const qgm::Box& box);
   Result<OperatorPtr> CompileUnion(const qgm::Box& box);
@@ -108,10 +106,8 @@ class Planner {
   PlanOptions options_;
   ExecStats* stats_;
 
-  // Serializes compilation; recursive because materializing one box may
-  // require materializing its inputs.
-  std::recursive_mutex mu_;
-  std::map<int, std::shared_ptr<const RowStore>> spools_;
+  std::mutex mu_;  // taken once per public call
+  std::map<int, std::shared_ptr<SpoolState>> spools_;  // by shared box id
   std::map<int, double> card_cache_;
 };
 

@@ -76,38 +76,41 @@ Result<QueryResult> ExecuteXnfFixpoint(const Catalog& catalog,
   XNFDB_ASSIGN_OR_RETURN(const Box* xnf, FindXnf(graph));
   QueryResult result;
   QueryContext* ctx = options.context.get();
-  PlanOptions plan_options = options.plan;
-  plan_options.batch_size = ResolveBatchSize(options.batch_size);
-  plan_options.context = ctx;  // governs candidate materialization drains
-  Planner planner(&catalog, &graph, plan_options, &result.stats);
+  const int batch_size = ResolveBatchSize(options.batch_size);
+  Planner planner(&catalog, &graph, options.plan, &result.stats);
+  // Plans `box_id` and hands each row it produces to `keep`, governed by
+  // the query's context.
+  auto pull = [&](int box_id, const auto& keep) -> Status {
+    XNFDB_ASSIGN_OR_RETURN(OperatorPtr op, planner.BoxIterator(box_id));
+    if (ctx != nullptr) op->AttachContext(ctx);
+    return DrainRows(op.get(), batch_size, nullptr, keep);
+  };
 
-  // 1. Materialize candidates per component table.
+  // 1. Intern candidates per component table as they are pulled. Every
+  // pulled row is charged, duplicates included.
   std::map<std::string, Candidates> candidates;
   size_t total_candidates = 0;
   for (const XnfComponent& c : xnf->components) {
     if (c.is_relationship) continue;
-    XNFDB_ASSIGN_OR_RETURN(auto rows, planner.MaterializeBox(c.box_id));
     Candidates& cand = candidates[c.name];
-    cand.rows.Reset(static_cast<double>(rows->size()));
-    for (size_t i = 0; i < rows->size(); ++i) {
-      RowView row = rows->Row(i);
-      // The interning table holds a second copy of each candidate row on
-      // top of the spool charged inside MaterializeBox.
+    cand.rows.Reset(planner.EstimateCard(c.box_id));
+    XNFDB_RETURN_IF_ERROR(pull(c.box_id, [&](const Tuple& row) -> Status {
       if (ctx != nullptr) {
         XNFDB_RETURN_IF_ERROR(ctx->ReserveBytes(ApproxTupleBytes(row)));
       }
       cand.rows.Intern(row);
-    }
+      return Status::Ok();
+    }));
     total_candidates += cand.rows.size();
     cand.reachable.assign(cand.rows.size(), c.is_root || !c.reachable);
     if (ctx != nullptr) XNFDB_RETURN_IF_ERROR(ctx->Check());
   }
 
-  // 2. Materialize candidate connections per relationship.
+  // 2. Resolve candidate connections per relationship as they are pulled;
+  // every pulled row is charged, like any materialized input.
   std::map<std::string, std::vector<CandidateConnection>> connections;
   for (const XnfComponent& r : xnf->components) {
     if (!r.is_relationship) continue;
-    XNFDB_ASSIGN_OR_RETURN(auto rows, planner.MaterializeBox(r.box_id));
     std::vector<const Candidates*> partners;
     std::vector<size_t> arities;
     for (size_t pi = 0; pi <= r.children.size(); ++pi) {
@@ -117,22 +120,24 @@ Result<QueryResult> ExecuteXnfFixpoint(const Catalog& catalog,
           graph.box(xnf->FindComponent(name)->box_id)->HeadArity());
     }
     std::vector<CandidateConnection>& conns = connections[r.name];
-    for (size_t i = 0; i < rows->size(); ++i) {
-      RowView row = rows->Row(i);
+    XNFDB_RETURN_IF_ERROR(pull(r.box_id, [&](const Tuple& t) -> Status {
+      if (ctx != nullptr) {
+        XNFDB_RETURN_IF_ERROR(ctx->ReserveBytes(ApproxTupleBytes(t)));
+      }
+      RowView row(t);
       CandidateConnection conn;
       size_t offset = 0;
-      bool ok = true;
       for (size_t pi = 0; pi < partners.size(); ++pi) {
         size_t idx = partners[pi]->rows.Find(row.subspan(offset, arities[pi]));
         offset += arities[pi];
         if (idx == RowSet::kNotFound) {
-          ok = false;  // partner row filtered out of its candidates
-          break;
+          return Status::Ok();  // partner row filtered out of its candidates
         }
         conn.partners.push_back(idx);
       }
-      if (ok) conns.push_back(std::move(conn));
-    }
+      conns.push_back(std::move(conn));
+      return Status::Ok();
+    }));
     if (ctx != nullptr) XNFDB_RETURN_IF_ERROR(ctx->Check());
   }
 

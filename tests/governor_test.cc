@@ -463,5 +463,89 @@ TEST(GovernorTest, DeadlineInterruptsNestedLoopJoinProbing) {
                              << elapsed_ms << "ms";
 }
 
+// Every deps_ARC output reads shared spools, and nothing is materialized
+// before a spool is built, so a 1-byte budget trips in the first spool
+// build; half the query's total trips later, part-way through the builds.
+// Readers of a failed spool on other output threads wait on its latch and
+// must get the failure, never a partly built spool served as complete.
+TEST(GovernorTest, FailedSpoolBuildFailsTheQueryAtEveryParallelism) {
+  Database db;
+  ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());
+  db.matviews().set_enabled(false);
+  ExecOptions full;
+  full.context = std::make_shared<QueryContext>();
+  Result<QueryResult> unbounded =
+      db.Query(testing_util::kDepsArcQuery, {}, full);
+  ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
+  const int64_t total_bytes = full.context->bytes_reserved();
+  ASSERT_GT(total_bytes, 2);
+  for (int64_t budget : {int64_t{1}, total_bytes / 2}) {
+    for (int workers : {1, 4, 8}) {
+      for (int run = 0; run < 20; ++run) {
+        ExecOptions eo;
+        eo.parallel_workers = workers;
+        eo.mem_budget_bytes = budget;
+        Result<QueryResult> r =
+            db.Query(testing_util::kDepsArcQuery, {}, eo);
+        ASSERT_FALSE(r.ok())
+            << "budget=" << budget << " workers=" << workers << " run=" << run
+            << " returned " << r.value().stream.size() << " items of "
+            << unbounded.value().stream.size();
+        EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
+            << r.status().ToString();
+        EXPECT_NE(r.status().ToString().find("memory budget"),
+                  std::string::npos)
+            << r.status().ToString();
+      }
+    }
+  }
+}
+
+TEST(GovernorTest, ReadersWaitingOnAFailedSpoolBuildGetTheBuildersStatus) {
+  auto rows = std::make_shared<std::vector<Tuple>>();
+  for (int64_t i = 0; i < 5000; ++i) rows->push_back({Value(i), Value(-i)});
+  ExecStats stats;
+  auto spool = std::make_shared<SpoolState>(
+      std::make_unique<MatViewScanOp>("SRC", rows, &stats));
+  auto ctx = std::make_shared<QueryContext>();
+  QueryLimits limits;
+  limits.mem_budget_bytes = 64 * 1024;  // trips part-way through the drain
+  ctx->SetLimits(limits);
+
+  constexpr int kReaders = 8;
+  std::vector<std::unique_ptr<SpoolReadOp>> readers;
+  for (int i = 0; i < kReaders; ++i) {
+    readers.push_back(std::make_unique<SpoolReadOp>(spool, &stats));
+    readers.back()->AttachContext(ctx.get());
+  }
+  std::atomic<bool> go{false};
+  std::vector<Status> statuses(kReaders);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kReaders; ++i) {
+    threads.emplace_back([&, i] {
+      while (!go.load()) std::this_thread::yield();
+      statuses[i] = readers[i]->Open();
+    });
+  }
+  go.store(true);
+  for (std::thread& t : threads) t.join();
+
+  for (const Status& s : statuses) {
+    EXPECT_EQ(s.code(), StatusCode::kResourceExhausted) << s.ToString();
+    // One build, one failure: every reader holds the builder's status.
+    EXPECT_EQ(s.ToString(), statuses[0].ToString());
+  }
+  EXPECT_EQ(stats.spool_builds, 0);
+  // The producer was drained once, and only up to the trip.
+  EXPECT_GT(stats.spool_read_rows, 0);
+  EXPECT_LT(stats.spool_read_rows, 5000);
+  // A reader opened after the failure gets it too, without a rebuild.
+  const int64_t drained = stats.spool_read_rows;
+  SpoolReadOp late(spool, &stats);
+  late.AttachContext(ctx.get());
+  EXPECT_EQ(late.Open().ToString(), statuses[0].ToString());
+  EXPECT_EQ(stats.spool_read_rows, drained);
+}
+
 }  // namespace
 }  // namespace xnfdb

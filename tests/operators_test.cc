@@ -17,15 +17,10 @@ using qgm::ExprPtr;
 
 Tuple Row(int64_t a, int64_t b) { return {Value(a), Value(b)}; }
 
-std::shared_ptr<const RowStore> Store(const std::vector<Tuple>& rows) {
-  auto store = std::make_shared<RowStore>();
-  store->Reset(static_cast<double>(rows.size()));
-  for (const Tuple& row : rows) store->Append(row);
-  return store;
-}
-
+// A leaf serving `rows` as stored (a matview reader over them).
 OperatorPtr Source(const std::vector<Tuple>& rows, ExecStats* stats = nullptr) {
-  return std::make_unique<MaterializedOp>(Store(rows), stats);
+  return std::make_unique<MatViewScanOp>(
+      "SRC", std::make_shared<const std::vector<Tuple>>(rows), stats);
 }
 
 // A fake quantifier layout: quantifier 0 with two columns at offset 0.
@@ -253,7 +248,7 @@ TEST(OperatorsTest, ExistsFilterConjunctiveVsDisjunctive) {
     GroupCheck g;
     std::vector<Tuple> rows;
     for (int64_t k : keys) rows.push_back({Value(k)});
-    g.rows = Store(rows);
+    g.op = Source(rows);
     g.group_layout.Add(100, 0, 1);
     g.combined_layout = TwoColLayout(0);
     g.combined_layout.Append(g.group_layout, 2);

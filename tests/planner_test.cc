@@ -116,6 +116,60 @@ TEST(PlannerTest, SharedBoxMaterializedOnce) {
   EXPECT_EQ(stats.rows_scanned, 100);
 }
 
+TEST(PlannerTest, PlanningExecutesNothing) {
+  Catalog c = MakeCatalog();
+  ViewDef v;
+  v.name = "ARCD";
+  v.definition = "SELECT * FROM DEPT WHERE LOC = 'ARC'";
+  ASSERT_TRUE(c.CreateView(v).ok());
+
+  // A shared box is compiled into a spool, not filled: nothing is scanned
+  // until a reader opens it.
+  std::unique_ptr<qgm::QueryGraph> shared = Graph(
+      c, "SELECT a.DNO FROM ARCD a, ARCD b WHERE a.DNO = b.DNO");
+  ExecStats stats;
+  Planner planner(&c, shared.get(), PlanOptions{}, &stats);
+  Result<OperatorPtr> op = planner.BoxIterator(BodyBox(*shared));
+  ASSERT_TRUE(op.ok()) << op.status().ToString();
+  EXPECT_EQ(stats.rows_scanned, 0);
+  EXPECT_EQ(stats.spool_builds, 0);
+  Result<std::vector<Tuple>> rows = DrainOperator(op.value().get());
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows.value().size(), 10u);
+  EXPECT_EQ(stats.spool_builds, 1);
+  EXPECT_EQ(stats.rows_scanned, 100);
+
+  // Existential groups are compiled, not drained.
+  const std::string groups =
+      "(EXISTS (SELECT 1 FROM EMP e WHERE e.EDNO = d.DNO) OR "
+      "EXISTS (SELECT 1 FROM EMP f WHERE f.ENO = d.DNO))";
+  std::unique_ptr<qgm::QueryGraph> exists =
+      Graph(c, "SELECT d.DNO FROM DEPT d WHERE " + groups);
+  ExecStats exists_stats;
+  Planner exists_planner(&c, exists.get(), PlanOptions{}, &exists_stats);
+  Result<OperatorPtr> exists_op = exists_planner.BoxIterator(BodyBox(*exists));
+  ASSERT_TRUE(exists_op.ok()) << exists_op.status().ToString();
+  EXPECT_EQ(exists_stats.rows_scanned, 0);
+  EXPECT_EQ(exists_stats.spool_builds, 0);
+  rows = DrainOperator(exists_op.value().get());
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows.value().size(), 100u);
+
+  // When no outer row survives, no group is ever built: only the outer
+  // table is scanned.
+  std::unique_ptr<qgm::QueryGraph> empty = Graph(
+      c, "SELECT d.DNO FROM DEPT d WHERE d.LOC = 'NOWHERE' AND " + groups);
+  ExecStats empty_stats;
+  Planner empty_planner(&c, empty.get(), PlanOptions{}, &empty_stats);
+  Result<OperatorPtr> empty_op = empty_planner.BoxIterator(BodyBox(*empty));
+  ASSERT_TRUE(empty_op.ok()) << empty_op.status().ToString();
+  rows = DrainOperator(empty_op.value().get());
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_TRUE(rows.value().empty());
+  EXPECT_EQ(empty_stats.rows_scanned, 100);
+  EXPECT_EQ(empty_stats.exists_probes, 0);
+}
+
 TEST(PlannerTest, SpoolingCanBeDisabled) {
   Catalog c = MakeCatalog();
   ViewDef v;
