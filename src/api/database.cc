@@ -744,7 +744,7 @@ Status Database::WriteDiagnosticBundle(const std::string& dir) const {
         "XNFDB_QUERY_TIMEOUT_MS", "XNFDB_MAX_RESULT_ROWS",
         "XNFDB_MEM_BUDGET_BYTES",
         // batch and morsel execution
-        "XNFDB_BATCH_SIZE", "XNFDB_MORSEL_WORKERS", "XNFDB_MORSEL_ROWS",
+        "XNFDB_BATCH_SIZE", "XNFDB_MORSEL_WORKERS",
         // materialized views
         "XNFDB_MATVIEWS", "XNFDB_MATVIEW_AUTO_CALLS", "XNFDB_MATVIEW_AUTO_US",
         "XNFDB_MATVIEW_MAX", "XNFDB_MATVIEW_MAX_ROWS"};

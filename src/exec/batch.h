@@ -37,6 +37,13 @@ inline int ResolveBatchSize(int requested) {
       ParseEnvInt("XNFDB_BATCH_SIZE", 1, 1 << 20, kDefaultBatchSize));
 }
 
+// Resolves a requested morsel worker count: explicit value > 0 wins, then
+// the XNFDB_MORSEL_WORKERS environment variable, then 1 (serial).
+inline int ResolveMorselWorkers(int requested) {
+  if (requested > 0) return requested;
+  return static_cast<int>(ParseEnvInt("XNFDB_MORSEL_WORKERS", 1, 256, 1));
+}
+
 // Capacity of a batch that pulls from an operator estimated to produce
 // `est_rows` rows (< 0 = no estimate): `batch_size`, shrunk toward a small
 // estimate so a point query does not reserve a full batch — but never

@@ -1,12 +1,7 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <functional>
 #include <map>
-#include <mutex>
-#include <thread>
 
 #include "common/str_util.h"
 #include "obs/phase.h"
@@ -95,17 +90,6 @@ bool OutputBuffer::AddConnection(std::span<const TupleId> tids) {
 
 namespace {
 
-int ResolveMorselWorkers(int requested) {
-  if (requested > 0) return requested;
-  return static_cast<int>(ParseEnvInt("XNFDB_MORSEL_WORKERS", 1, 256, 1));
-}
-
-Rid ResolveMorselRows(int64_t requested) {
-  if (requested > 0) return static_cast<Rid>(requested);
-  return static_cast<Rid>(
-      ParseEnvInt("XNFDB_MORSEL_ROWS", 1, int64_t{1} << 30, 2048));
-}
-
 // One operator's estimate and summed actuals. An output's slots are
 // indexed by pre-order position, so morsel clones of one plan merge into
 // the same slots.
@@ -120,10 +104,16 @@ struct FeedbackSlot {
 // feedback in a single walk: `ops` aggregates by operator class (inclusive
 // time is the node's own measurement; self time subtracts the children's
 // inclusive time, clamped at zero), `slots` by pre-order position `*pos`.
-void FoldTree(Operator* op, size_t* pos,
+// A morsel clone after the first passes its driver scan as `split`: the
+// operators on the morsel path above it ran one loop of the pipeline
+// between them, so they add their rows but no loops; operators off the
+// path (build sides) ran once per clone and count each loop.
+void FoldTree(Operator* op, const ScanOp* split, size_t* pos,
               std::map<std::string, obs::OpProfile>* ops,
               std::vector<FeedbackSlot>* slots) {
   const Operator::Actuals& a = op->actuals();
+  const int64_t loops =
+      split != nullptr && op->MorselDriver() == split ? 0 : a.loops;
   if (slots->size() <= *pos) slots->resize(*pos + 1);
   FeedbackSlot& slot = (*slots)[(*pos)++];
   if (slot.op == nullptr) {
@@ -131,50 +121,20 @@ void FoldTree(Operator* op, size_t* pos,
     slot.est = op->estimated_rows();
   }
   slot.rows += a.rows;
-  slot.loops += a.loops;
+  slot.loops += loops;
   // `slot` is not touched past this point: the recursion may grow `slots`.
   int64_t child_ns = 0;
   for (Operator* c : op->Children()) {
     child_ns += c->actuals().ns;
-    FoldTree(c, pos, ops, slots);
+    FoldTree(c, split, pos, ops, slots);
   }
   obs::OpProfile& p = (*ops)[op->Kind()];
   if (p.op.empty()) p.op = op->Kind();
-  p.loops += a.loops;
+  p.loops += loops;
   p.rows += a.rows;
   p.batches += a.batches;
   p.incl_us += a.ns / 1000;
   p.self_us += std::max<int64_t>(0, a.ns - child_ns) / 1000;
-}
-
-// Runs `task(i)` for i in [0, n) on up to `workers` threads. Tasks must be
-// independent. Returns the first failure, if any.
-Status RunParallel(int n, int workers,
-                   const std::function<Status(int)>& task) {
-  if (workers <= 1 || n <= 1) {
-    for (int i = 0; i < n; ++i) {
-      XNFDB_RETURN_IF_ERROR(task(i));
-    }
-    return Status::Ok();
-  }
-  std::atomic<int> next{0};
-  std::vector<Status> failures(n);
-  std::vector<std::thread> threads;
-  int nthreads = std::min(workers, n);
-  for (int t = 0; t < nthreads; ++t) {
-    threads.emplace_back([&] {
-      while (true) {
-        int i = next.fetch_add(1);
-        if (i >= n) break;
-        failures[i] = task(i);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (const Status& s : failures) {
-    if (!s.ok()) return s;
-  }
-  return Status::Ok();
 }
 
 }  // namespace
@@ -187,18 +147,19 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
   }
   const qgm::Box* top = graph.box(graph.top_box_id());
   QueryResult result;
-  // Workers increment `run_stats`, never the result object, so the result
-  // can be copied or moved freely: its stats are a consistent snapshot
-  // taken after every worker joined.
+  // Morsel workers increment `run_stats`, never the result object, so the
+  // result can be copied or moved freely: its stats are a consistent
+  // snapshot taken after every worker joined.
   ExecStats run_stats;
   const int batch_size = ResolveBatchSize(options.batch_size);
   // Morsel workers clone plans and split actuals across them, so analyze
-  // mode (which renders one annotated plan per output) stays sequential.
-  const int morsel_workers =
-      options.analyze ? 1 : ResolveMorselWorkers(options.morsel_workers);
-  const Rid morsel_rows = ResolveMorselRows(options.morsel_rows);
+  // mode (which renders one annotated plan per output) stays serial.
+  PlanOptions plan_options = options.plan;
+  plan_options.morsel_workers =
+      options.analyze ? 1 : ResolveMorselWorkers(plan_options.morsel_workers);
+  const int morsel_workers = plan_options.morsel_workers;
   QueryContext* ctx = options.context.get();
-  Planner planner(&catalog, &graph, options.plan, &run_stats);
+  Planner planner(&catalog, &graph, plan_options, &run_stats);
   const bool collect_profile = options.collect_profile;
   // Plans one output's tree and instruments it for this run: governance,
   // analyze timing and profiling are the executor's, not the planner's.
@@ -246,7 +207,7 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
     if (!top->outputs[i].is_connection) {
       component_output[top->outputs[i].name] = i;
       if (collect_counts && top->outputs[i].xnf_component) {
-        result.component_counts[i];  // pre-create: stable under parallel pass
+        result.component_counts[i];  // pre-create: present when empty
       }
     } else if (collect_counts) {
       result.connection_counts[i];
@@ -254,13 +215,8 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
   }
   std::vector<std::string> plan_texts(n_outputs);
 
-  // Always-on profile and cardinality-feedback accumulation. Output passes
-  // and morsel workers all fold their finished trees here, so it is
-  // mutex-guarded; it runs once per finished plan, never per row. Caveat:
-  // under morsel execution feedback rows and loops both sum across clones,
-  // so a morsel-split driver scan reports its per-clone (not total) rows
-  // per loop; with the default single worker the numbers are exact.
-  std::mutex profile_mu;
+  // Always-on profile and cardinality-feedback accumulation: every
+  // finished tree (each morsel clone too) folds here once, never per row.
   std::map<std::string, obs::OpProfile> profile_ops;
   std::map<int64_t, obs::WorkerProfile> profile_workers;  // by worker id
   std::vector<std::vector<FeedbackSlot>> feedback_slots(n_outputs);
@@ -269,15 +225,10 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
     if (!collect_profile) return;
     shapes[oi] = out.name + "=" + PlanShapeText(op);
   };
-  // Requires profile_mu.
-  auto fold_tree_locked = [&](int oi, Operator* root) {
-    size_t pos = 0;
-    FoldTree(root, &pos, &profile_ops, &feedback_slots[oi]);
-  };
-  auto fold_tree = [&](int oi, Operator* root) {
+  auto fold_tree = [&](int oi, Operator* root, const ScanOp* split) {
     if (!collect_profile) return;
-    std::lock_guard<std::mutex> lock(profile_mu);
-    fold_tree_locked(oi, root);
+    size_t pos = 0;
+    FoldTree(root, split, &pos, &profile_ops, &feedback_slots[oi]);
   };
 
   // Renders the annotated plan tree of one finished output (analyze mode).
@@ -307,199 +258,132 @@ Result<QueryResult> ExecuteGraph(const Catalog& catalog,
     return Status::Ok();
   };
 
-  // Morsel-parallel evaluation of one component output: `workers` plan
-  // clones share a morsel dispenser on their driver scans; each claimed
-  // morsel's rows land in that morsel's private bucket, and the buckets
-  // are reassembled in morsel order, so the emitted stream (and therefore
-  // every assigned tid) is identical to sequential execution.
+  // Morsel-parallel evaluation of one component output: one plan clone per
+  // worker over a shared morsel dispenser on their driver scans. The
+  // buckets are reassembled in morsel order, so the emitted stream (and
+  // therefore every assigned tid) is identical to serial execution.
   auto run_morsel_output = [&](int oi, const qgm::TopOutput& out,
-                               OperatorPtr first_plan,
-                               ScanOp* first_driver) -> Status {
+                               OperatorPtr first_plan) -> Status {
     std::vector<OperatorPtr> plans;
-    std::vector<ScanOp*> drivers;
     plans.push_back(std::move(first_plan));
-    drivers.push_back(first_driver);
     for (int w = 1; w < morsel_workers; ++w) {
-      XNFDB_ASSIGN_OR_RETURN(OperatorPtr extra, plan_output(out));
-      ScanOp* d = extra->MorselDriver();
-      if (d == nullptr || d->table() != first_driver->table()) break;
-      plans.push_back(std::move(extra));
-      drivers.push_back(d);
+      XNFDB_ASSIGN_OR_RETURN(OperatorPtr clone, plan_output(out));
+      plans.push_back(std::move(clone));
     }
-    auto morsels = std::make_shared<ScanMorsels>();
-    morsels->bound = first_driver->table()->rid_bound();
-    morsels->rows_per_morsel = morsel_rows;
-    for (ScanOp* d : drivers) d->ShareMorsels(morsels);
-
-    std::vector<RowStore> buckets(morsels->MorselCount());
-    for (RowStore& b : buckets) b.Reset(static_cast<double>(morsel_rows));
-    std::vector<Status> worker_status(plans.size());
-    auto worker = [&](size_t w) -> Status {
-      Operator* plan = plans[w].get();
-      ScanOp* driver = drivers[w];
-      // Stable worker id = index in the worker pool; the trace span and the
-      // profile's WorkerProfile row carry the same id.
-      obs::Span worker_span;
-      if (options.tracer != nullptr) {
-        worker_span = options.tracer->StartSpan(
-            "morsel-worker #" + std::to_string(w) + " " + out.name);
-      }
-      auto w0 = std::chrono::steady_clock::now();
-      int64_t worker_rows = 0;
-      Tuple scratch;
-      XNFDB_RETURN_IF_ERROR(DrainRows(
-          plan, batch_size, &run_stats.batches_emitted,
-          [&](const Tuple& row) -> Status {
-            // A batch never spans morsels (ScanOp guarantee), so the
-            // driver's current morsel tags every row it just produced.
-            RowView projected = ProjectCols(row, out.cols, &scratch);
-            // Bucketed rows are buffered server-side until reassembly, so
-            // they count against the memory budget (not the row budget:
-            // dedup happens at reassembly).
-            if (ctx != nullptr) {
-              XNFDB_RETURN_IF_ERROR(
-                  ctx->ReserveBytes(ApproxTupleBytes(projected)));
-            }
-            ++worker_rows;
-            buckets[driver->current_morsel()].Append(projected);
-            return Status::Ok();
-          }));
-      if (collect_profile) {
-        int64_t wall_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                              std::chrono::steady_clock::now() - w0)
-                              .count();
-        std::lock_guard<std::mutex> lock(profile_mu);
-        fold_tree_locked(oi, plan);
-        obs::WorkerProfile& wp = profile_workers[static_cast<int64_t>(w)];
-        wp.worker = static_cast<int64_t>(w);
-        wp.rows += worker_rows;
-        wp.morsels += driver->claimed_morsels();
-        wp.wall_us += wall_us;
-      }
-      return Status::Ok();
-    };
-    std::vector<std::thread> threads;
-    threads.reserve(plans.size());
-    for (size_t w = 0; w < plans.size(); ++w) {
-      threads.emplace_back([&, w] { worker_status[w] = worker(w); });
-    }
-    for (std::thread& t : threads) t.join();
-    // All workers share one QueryContext, so a cancel/deadline/budget trip
-    // surfaces in every worker; the first failure wins and reassembly is
-    // skipped (partially filled buckets are simply dropped — mid-pipeline
-    // unwind never publishes a torn stream).
-    for (const Status& s : worker_status) {
-      XNFDB_RETURN_IF_ERROR(s);
-    }
-    // Sequential reassembly: morsel order == scan order.
+    std::vector<RowStore> buckets;
+    std::vector<obs::WorkerProfile> workers;
+    XNFDB_RETURN_IF_ERROR(DrainMorsels(plans, batch_size,
+                                       &run_stats.batches_emitted, out.cols,
+                                       ctx, &buckets, &workers));
     for (const RowStore& bucket : buckets) {
       for (size_t r = 0; r < bucket.size(); ++r) {
         XNFDB_RETURN_IF_ERROR(emit_component(oi, out, bucket.Row(r)));
       }
     }
+    for (size_t w = 0; w < plans.size(); ++w) {
+      fold_tree(oi, plans[w].get(),
+                w == 0 ? nullptr : plans[w]->MorselDriver());
+      obs::WorkerProfile& wp = profile_workers[workers[w].worker];
+      wp.worker = workers[w].worker;
+      wp.rows += workers[w].rows;
+      wp.morsels += workers[w].morsels;
+      wp.wall_us += workers[w].wall_us;
+    }
     return Status::Ok();
   };
 
   // Pass 1: component streams (tuple ids assigned; XNF components dedup).
-  // Each output owns its buffer and tid map, so outputs evaluate in
-  // parallel when requested; a spool is built by whichever output opens it
-  // first, and the others wait on its latch and share it.
-  XNFDB_RETURN_IF_ERROR(RunParallel(
-      n_outputs, options.parallel_workers, [&](int oi) -> Status {
-        const qgm::TopOutput& out = top->outputs[oi];
-        if (out.is_connection) return Status::Ok();
-        obs::Span plan_span;
-        if (options.tracer != nullptr) {
-          plan_span = options.tracer->StartSpan("plan " + out.name);
-        }
-        OperatorPtr op;
-        {
-          // Null tracer: the per-output spans are opened separately.
-          obs::PhaseScope phase(nullptr, options.metrics, "plan");
-          XNFDB_ASSIGN_OR_RETURN(op, plan_output(out));
-        }
-        capture_shape(oi, out, op.get());
-        plan_span.End();
-        obs::Span exec_span;
-        if (options.tracer != nullptr) {
-          exec_span = options.tracer->StartSpan("execute " + out.name);
-        }
-        obs::PhaseScope phase(nullptr, options.metrics, "execute");
-        if (morsel_workers > 1) {
-          // Intra-plan parallelism: only a plain scan pipeline qualifies
-          // (a pipeline breaker or non-scan source returns null).
-          ScanOp* driver = op->MorselDriver();
-          if (driver != nullptr) {
-            return run_morsel_output(oi, out, std::move(op), driver);
-          }
-        }
-        Tuple scratch;
-        XNFDB_RETURN_IF_ERROR(DrainRows(
-            op.get(), batch_size, &run_stats.batches_emitted,
-            [&](const Tuple& row) -> Status {
-              return emit_component(oi, out,
-                                    ProjectCols(row, out.cols, &scratch));
-            }));
-        capture_plan(oi, out, op.get());
-        fold_tree(oi, op.get());
-        return Status::Ok();
-      }));
+  // A spool is built by whichever output opens it first; later readers
+  // share it.
+  for (int oi = 0; oi < n_outputs; ++oi) {
+    const qgm::TopOutput& out = top->outputs[oi];
+    if (out.is_connection) continue;
+    obs::Span plan_span;
+    if (options.tracer != nullptr) {
+      plan_span = options.tracer->StartSpan("plan " + out.name);
+    }
+    OperatorPtr op;
+    {
+      // Null tracer: the per-output spans are opened separately.
+      obs::PhaseScope phase(nullptr, options.metrics, "plan");
+      XNFDB_ASSIGN_OR_RETURN(op, plan_output(out));
+    }
+    capture_shape(oi, out, op.get());
+    plan_span.End();
+    obs::Span exec_span;
+    if (options.tracer != nullptr) {
+      exec_span = options.tracer->StartSpan("execute " + out.name);
+    }
+    obs::PhaseScope phase(nullptr, options.metrics, "execute");
+    // Intra-plan parallelism: only a streaming scan pipeline qualifies (a
+    // pipeline breaker or non-scan source has no morsel driver).
+    if (morsel_workers > 1 && op->MorselDriver() != nullptr) {
+      XNFDB_RETURN_IF_ERROR(run_morsel_output(oi, out, std::move(op)));
+      continue;
+    }
+    Tuple scratch;
+    XNFDB_RETURN_IF_ERROR(DrainRows(
+        op.get(), batch_size, &run_stats.batches_emitted,
+        [&](const Tuple& row) -> Status {
+          return emit_component(oi, out, ProjectCols(row, out.cols, &scratch));
+        }));
+    capture_plan(oi, out, op.get());
+    fold_tree(oi, op.get(), nullptr);
+  }
 
   // Pass 2: connection streams (tid maps are read-only now).
-  XNFDB_RETURN_IF_ERROR(RunParallel(
-      n_outputs, options.parallel_workers, [&](int oi) -> Status {
-        const qgm::TopOutput& out = top->outputs[oi];
-        if (!out.is_connection) return Status::Ok();
-        obs::Span exec_span;
-        if (options.tracer != nullptr) {
-          exec_span = options.tracer->StartSpan("execute " + out.name);
-        }
-        OperatorPtr op;
-        {
-          obs::PhaseScope phase(nullptr, options.metrics, "plan");
-          XNFDB_ASSIGN_OR_RETURN(op, plan_output(out));
-        }
-        capture_shape(oi, out, op.get());
-        obs::PhaseScope phase(nullptr, options.metrics, "execute");
-        std::map<std::vector<TupleId>, int64_t>* counts =
-            collect_counts ? &result.connection_counts[oi] : nullptr;
-        std::vector<TupleId> partner_tids;  // reused per row
-        Tuple key;                          // reused partner-key scratch
-        XNFDB_RETURN_IF_ERROR(DrainRows(
-            op.get(), batch_size, &run_stats.batches_emitted,
-            [&](const Tuple& row) -> Status {
-              partner_tids.clear();
-              for (size_t pi = 0; pi < out.partner_names.size(); ++pi) {
-                const std::string& partner = out.partner_names[pi];
-                auto cit = component_output.find(partner);
-                if (cit == component_output.end()) {
-                  return Status::Internal("connection partner '" + partner +
-                                          "' is not an output component");
-                }
-                const TupleId tid = buffers[cit->second].FindRow(
-                    ProjectCols(row, out.partner_cols[pi], &key));
-                if (tid < 0) {
-                  // The partner row did not appear in its component stream
-                  // (can happen only for non-reachable setups); drop the
-                  // connection to keep the answer closed.
-                  return Status::Ok();
-                }
-                partner_tids.push_back(tid);
-              }
-              if (counts != nullptr) ++(*counts)[partner_tids];
-              if (!buffers[oi].AddConnection(partner_tids)) {
-                return Status::Ok();  // duplicate connection
-              }
-              if (ctx != nullptr) {
-                XNFDB_RETURN_IF_ERROR(ctx->ChargeOutputRows(1));
-              }
-              ++run_stats.rows_output;
+  for (int oi = 0; oi < n_outputs; ++oi) {
+    const qgm::TopOutput& out = top->outputs[oi];
+    if (!out.is_connection) continue;
+    obs::Span exec_span;
+    if (options.tracer != nullptr) {
+      exec_span = options.tracer->StartSpan("execute " + out.name);
+    }
+    OperatorPtr op;
+    {
+      obs::PhaseScope phase(nullptr, options.metrics, "plan");
+      XNFDB_ASSIGN_OR_RETURN(op, plan_output(out));
+    }
+    capture_shape(oi, out, op.get());
+    obs::PhaseScope phase(nullptr, options.metrics, "execute");
+    std::map<std::vector<TupleId>, int64_t>* counts =
+        collect_counts ? &result.connection_counts[oi] : nullptr;
+    std::vector<TupleId> partner_tids;  // reused per row
+    Tuple key;                          // reused partner-key scratch
+    XNFDB_RETURN_IF_ERROR(DrainRows(
+        op.get(), batch_size, &run_stats.batches_emitted,
+        [&](const Tuple& row) -> Status {
+          partner_tids.clear();
+          for (size_t pi = 0; pi < out.partner_names.size(); ++pi) {
+            const std::string& partner = out.partner_names[pi];
+            auto cit = component_output.find(partner);
+            if (cit == component_output.end()) {
+              return Status::Internal("connection partner '" + partner +
+                                      "' is not an output component");
+            }
+            const TupleId tid = buffers[cit->second].FindRow(
+                ProjectCols(row, out.partner_cols[pi], &key));
+            if (tid < 0) {
+              // The partner row did not appear in its component stream
+              // (can happen only for non-reachable setups); drop the
+              // connection to keep the answer closed.
               return Status::Ok();
-            }));
-        capture_plan(oi, out, op.get());
-        fold_tree(oi, op.get());
-        return Status::Ok();
-      }));
+            }
+            partner_tids.push_back(tid);
+          }
+          if (counts != nullptr) ++(*counts)[partner_tids];
+          if (!buffers[oi].AddConnection(partner_tids)) {
+            return Status::Ok();  // duplicate connection
+          }
+          if (ctx != nullptr) {
+            XNFDB_RETURN_IF_ERROR(ctx->ChargeOutputRows(1));
+          }
+          ++run_stats.rows_output;
+          return Status::Ok();
+        }));
+    capture_plan(oi, out, op.get());
+    fold_tree(oi, op.get(), nullptr);
+  }
 
   // Workers have joined: the snapshot below is consistent.
   result.stats = run_stats;

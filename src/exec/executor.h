@@ -127,26 +127,17 @@ struct QueryResult {
 };
 
 struct ExecOptions {
+  // Planner options. plan.morsel_workers is the query's morsel parallelism
+  // (paper Sect. 5.1/6): spool builds and outputs that stream over a
+  // base-table scan split into morsels, with the serial row order.
+  // Disabled in analyze mode.
   PlanOptions plan;
-  // Evaluate the Top box's output streams on up to this many threads
-  // (paper Sect. 5.1/6: applying parallelism to set-oriented CO
-  // extraction). 1 = sequential.
-  int parallel_workers = 1;
   // Rows pulled per executor batch from every output's plan root. 0 =
   // XNFDB_BATCH_SIZE env var or 1024; 1 pulls batches of one row through
   // the same operator code. Blocking inputs (spool builds, existential
   // groups, hash-join builds, sort and NL-join inner sides) are pulled at
   // the default 1024 whatever this is.
   int batch_size = 0;
-  // Morsel-driven intra-plan parallelism: when > 1 and an output's plan is
-  // a streaming scan pipeline (filters/projections/join probe sides over a
-  // base-table scan), up to this many workers claim row-range morsels of
-  // the driving scan. Output order stays identical to sequential execution
-  // (per-morsel buckets are reassembled in morsel order). 0 =
-  // XNFDB_MORSEL_WORKERS env var or 1. Disabled in analyze mode.
-  int morsel_workers = 0;
-  // Rows per claimed morsel. 0 = XNFDB_MORSEL_ROWS env var or 2048.
-  int64_t morsel_rows = 0;
   // EXPLAIN ANALYZE: instrument operators with wall-time measurement and
   // fill QueryResult::plan_texts with annotated plan trees.
   bool analyze = false;

@@ -5,6 +5,7 @@
 #include <iomanip>
 #include <map>
 #include <sstream>
+#include <thread>
 
 #include "obs/metrics.h"
 #include "obs/statement_record.h"
@@ -241,6 +242,72 @@ Status DrainInto(Operator* op, QueryContext* ctx, RowStore* out) {
       });
 }
 
+namespace {
+
+thread_local bool t_on_morsel_worker = false;
+
+}  // namespace
+
+bool OnMorselWorker() { return t_on_morsel_worker; }
+
+Status DrainMorsels(const std::vector<OperatorPtr>& plans, int batch_size,
+                    StatCounter* batches, const std::vector<int>& cols,
+                    QueryContext* ctx, std::vector<RowStore>* buckets,
+                    std::vector<obs::WorkerProfile>* workers) {
+  std::vector<ScanOp*> drivers;
+  for (const OperatorPtr& plan : plans) {
+    drivers.push_back(plan->MorselDriver());
+  }
+  auto morsels = std::make_shared<ScanMorsels>(
+      drivers[0]->table()->rid_bound(), plans.size());
+  for (ScanOp* d : drivers) d->ShareMorsels(morsels);
+  buckets->assign(morsels->MorselCount(), RowStore());
+  for (RowStore& b : *buckets) {
+    b.Reset(static_cast<double>(morsels->rows_per_morsel));
+  }
+  if (workers != nullptr) workers->assign(plans.size(), obs::WorkerProfile());
+
+  std::vector<Status> status(plans.size());
+  auto run = [&](size_t w) {
+    const bool was_worker = t_on_morsel_worker;
+    t_on_morsel_worker = true;
+    const auto t0 = std::chrono::steady_clock::now();
+    int64_t rows = 0;
+    Tuple scratch;
+    status[w] = DrainRows(
+        plans[w].get(), batch_size, batches, [&](const Tuple& row) -> Status {
+          RowView projected = ProjectCols(row, cols, &scratch);
+          // Bucketed rows are held until reassembly: memory, not output.
+          if (ctx != nullptr) {
+            XNFDB_RETURN_IF_ERROR(
+                ctx->ReserveBytes(ApproxTupleBytes(projected)));
+          }
+          ++rows;
+          // A batch never spans morsels (ScanOp guarantee), so the driver's
+          // current morsel tags every row it just produced.
+          (*buckets)[drivers[w]->current_morsel()].Append(projected);
+          return Status::Ok();
+        });
+    t_on_morsel_worker = was_worker;
+    if (workers != nullptr) {
+      obs::WorkerProfile& wp = (*workers)[w];
+      wp.worker = static_cast<int64_t>(w);
+      wp.rows = rows;
+      wp.morsels = drivers[w]->claimed_morsels();
+      wp.wall_us = ElapsedNs(t0) / 1000;
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(plans.size() - 1);
+  for (size_t w = 1; w < plans.size(); ++w) threads.emplace_back(run, w);
+  run(0);
+  for (std::thread& t : threads) t.join();
+  // All workers share one QueryContext, so a cancel/deadline/budget trip
+  // surfaces in every worker; the caller then drops the partial buckets.
+  for (const Status& s : status) XNFDB_RETURN_IF_ERROR(s);
+  return Status::Ok();
+}
+
 // --- sources ---------------------------------------------------------------
 
 bool ScanOp::ClaimMorsel() {
@@ -338,10 +405,24 @@ Result<bool> RangeScanOp::NextBatchImpl(TupleBatch* out) {
 Status SpoolReadOp::OpenImpl() {
   pos_ = 0;
   std::lock_guard<std::mutex> lock(spool_->mu);
-  if (spool_->child == nullptr) return spool_->status;
-  spool_->child->AttachContext(context());
-  spool_->status = DrainInto(spool_->child.get(), context(), &spool_->rows);
-  spool_->child.reset();
+  std::vector<OperatorPtr>& producers = spool_->producers;
+  if (producers.empty()) return spool_->status;
+  for (const OperatorPtr& p : producers) p->AttachContext(context());
+  if (producers.size() == 1 || OnMorselWorker()) {
+    spool_->status = DrainInto(producers[0].get(), context(), &spool_->rows);
+  } else {
+    // Reassembled in morsel order: the serial build's rows.
+    std::vector<RowStore> buckets;
+    spool_->status = DrainMorsels(producers, kDefaultBatchSize, nullptr, {},
+                                  context(), &buckets);
+    spool_->rows.Reset(producers[0]->estimated_rows());
+    for (const RowStore& bucket : buckets) {
+      for (size_t r = 0; r < bucket.size(); ++r) {
+        spool_->rows.Append(bucket.Row(r));
+      }
+    }
+  }
+  producers.clear();
   if (!spool_->status.ok()) {
     spool_->rows.Reset(0);  // never served: release what was drained
   } else if (stats_ != nullptr) {
@@ -969,7 +1050,7 @@ void RangeScanOp::ExplainImpl(int depth, std::string* out) const {
 void SpoolReadOp::ExplainImpl(int depth, std::string* out) const {
   std::lock_guard<std::mutex> lock(spool_->mu);
   SelfLine(depth,
-           spool_->child == nullptr && spool_->status.ok()
+           spool_->producers.empty() && spool_->status.ok()
                ? "SpoolRead(" + std::to_string(spool_->rows.size()) + " rows)"
                : std::string("SpoolRead(not built)"),
            out);

@@ -39,6 +39,7 @@ class VirtualTableProvider;
 
 namespace obs {
 class MetricsRegistry;
+struct WorkerProfile;
 }  // namespace obs
 
 // A copyable atomic counter, so ExecStats can be both shared between
@@ -102,14 +103,20 @@ class ScanOp;
 // Shared morsel dispenser for one morsel-parallel scan (HyPer-style):
 // worker threads claim fixed-size row ranges [m * rows_per_morsel,
 // (m+1) * rows_per_morsel) from the atomic cursor. `bound` is the scan's
-// rid bound, captured when the dispenser is created.
+// rid bound, captured when the dispenser is created. Morsels are sized to
+// about four per worker, so a worker that falls behind leaves its peers
+// work to take, capped at 2,048 rows.
 struct ScanMorsels {
-  Rid bound = 0;
-  Rid rows_per_morsel = 2048;
+  ScanMorsels(Rid scan_bound, size_t workers)
+      : bound(scan_bound),
+        rows_per_morsel(std::clamp<Rid>(
+            (scan_bound + 4 * workers - 1) / (4 * workers), 1, 2048)) {}
+
+  const Rid bound;
+  const Rid rows_per_morsel;
   std::atomic<uint64_t> next{0};
 
   uint64_t MorselCount() const {
-    if (bound == 0 || rows_per_morsel == 0) return 0;
     return (bound + rows_per_morsel - 1) / rows_per_morsel;
   }
 };
@@ -261,6 +268,25 @@ Result<std::vector<Tuple>> DrainOperator(Operator* op, int batch_size = 1);
 // copied out of the batch, so its slots keep their capacity. When `ctx` is
 // set, every drained row's bytes are charged against its memory budget.
 Status DrainInto(Operator* op, QueryContext* ctx, RowStore* out);
+
+// Morsel-driven drain (Leis et al., SIGMOD 2014), the engine's one form of
+// intra-query parallelism, for morsel-split outputs and spool builds.
+// `plans` are clones of one morsel-drivable pipeline; plans[w] runs on
+// worker w (worker 0 on the calling thread) in batches of `batch_size`,
+// each bumping `*batches` when set. Each row, projected to `cols` (all
+// columns when empty), is charged against `ctx`'s memory budget and
+// appended to its morsel's bucket, so `*buckets` in order is the serial
+// stream. `workers`, when set, gets each worker's rows, morsels and wall
+// time. The first failure wins.
+Status DrainMorsels(const std::vector<OperatorPtr>& plans, int batch_size,
+                    StatCounter* batches, const std::vector<int>& cols,
+                    QueryContext* ctx, std::vector<RowStore>* buckets,
+                    std::vector<obs::WorkerProfile>* workers = nullptr);
+
+// True on a thread while it runs a DrainMorsels worker. A spool opened
+// there drains on that thread, so a query never runs more threads at once
+// than it has morsel workers.
+bool OnMorselWorker();
 
 // --- sources ---------------------------------------------------------------
 
@@ -442,18 +468,23 @@ class MatViewScanOp : public Operator {
 
 // One shared box's spool (paper Sect. 4.2: a common subexpression is
 // materialized once and read many times). The planner compiles the box's
-// subtree once into `child`; the first reader to Open drains it into `rows`
+// subtree into `producers`; the first reader to Open drains it into `rows`
 // and releases it while holding `mu`, so readers that open concurrently —
-// parallel outputs, morsel clones — wait on the latch and then read the
-// finished rows without it. The build's outcome is kept in `status`: a
-// failed build is handed to every reader and never served.
+// morsel clones — wait on the latch and then read the finished rows
+// without it. The build's outcome is kept in `status`: a failed build is
+// handed to every reader and never served. A morsel-drivable producer is
+// compiled once per morsel worker, and the build runs on morsels unless
+// it is opened on a morsel worker already; otherwise producers[0] is
+// drained alone.
 struct SpoolState {
-  explicit SpoolState(OperatorPtr producer) : child(std::move(producer)) {}
+  explicit SpoolState(OperatorPtr producer) {
+    producers.push_back(std::move(producer));
+  }
 
-  std::mutex mu;      // the latch, held for the whole build
-  OperatorPtr child;  // guarded by mu; null once built
-  Status status;      // guarded by mu; the build's outcome
-  RowStore rows;      // immutable once built
+  std::mutex mu;  // the latch, held for the whole build
+  std::vector<OperatorPtr> producers;  // guarded by mu; empty once built
+  Status status;  // guarded by mu; the build's outcome
+  RowStore rows;  // immutable once built
 };
 
 // Reader of one SpoolState; the planner returns one per consumer of a
@@ -469,7 +500,8 @@ class SpoolReadOp : public Operator {
  protected:
   // Builds the spool if no reader has yet: drains the producer under this
   // reader's governance context, at the default batch size (it is a
-  // blocking input), and counts one spool build.
+  // blocking input), on morsels when the spool has several producers,
+  // and counts one spool build.
   Status OpenImpl() override;
   Result<bool> NextBatchImpl(TupleBatch* out) override;
   void CloseImpl() override {}

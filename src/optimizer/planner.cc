@@ -80,17 +80,13 @@ class OneRowOp : public Operator {
 
 }  // namespace
 
+Planner::Planner(const Catalog* catalog, const qgm::QueryGraph* graph,
+                 PlanOptions options, ExecStats* stats)
+    : catalog_(catalog), graph_(graph), options_(options), stats_(stats) {
+  options_.morsel_workers = ResolveMorselWorkers(options.morsel_workers);
+}
+
 Result<OperatorPtr> Planner::BoxIterator(int box_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return Iterator(box_id);
-}
-
-double Planner::EstimateCard(int box_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return Card(box_id);
-}
-
-Result<OperatorPtr> Planner::Iterator(int box_id) {
   const Box* box = graph_->box(box_id);
   bool shared = options_.spool_shared &&
                 graph_->ConsumerRefCount(box_id) > 1 &&
@@ -99,10 +95,15 @@ Result<OperatorPtr> Planner::Iterator(int box_id) {
   std::shared_ptr<SpoolState>& spool = spools_[box_id];
   if (spool == nullptr) {
     XNFDB_ASSIGN_OR_RETURN(OperatorPtr producer, CompileBox(box_id));
+    const bool on_morsels = producer->MorselDriver() != nullptr;
     spool = std::make_shared<SpoolState>(std::move(producer));
+    for (int w = 1; on_morsels && w < options_.morsel_workers; ++w) {
+      XNFDB_ASSIGN_OR_RETURN(OperatorPtr clone, CompileBox(box_id));
+      spool->producers.push_back(std::move(clone));
+    }
   }
   OperatorPtr op = std::make_unique<SpoolReadOp>(spool, stats_);
-  op->SetEstimatedRows(Card(box_id));
+  op->SetEstimatedRows(EstimateCard(box_id));
   return op;
 }
 
@@ -149,7 +150,7 @@ Result<OperatorPtr> Planner::CompileBox(int box_id) {
                               qgm::BoxKindName(box->kind) + " box directly");
   }
   if (op == nullptr) return Status::Internal("unknown box kind");
-  if (op->estimated_rows() < 0) op->SetEstimatedRows(Card(box_id));
+  if (op->estimated_rows() < 0) op->SetEstimatedRows(EstimateCard(box_id));
   return op;
 }
 
@@ -157,8 +158,8 @@ Result<OperatorPtr> Planner::CompileUnion(const Box& box) {
   std::vector<OperatorPtr> children;
   double est = 0;
   for (int in : box.union_inputs) {
-    XNFDB_ASSIGN_OR_RETURN(OperatorPtr c, Iterator(in));
-    est += Card(in);
+    XNFDB_ASSIGN_OR_RETURN(OperatorPtr c, BoxIterator(in));
+    est += EstimateCard(in);
     children.push_back(std::move(c));
   }
   OperatorPtr u = std::make_unique<UnionOp>(std::move(children));
@@ -196,7 +197,7 @@ Result<OperatorPtr> Planner::QuantSource(const Quantifier& q,
       op = std::make_unique<IndexScanOp>(table, col->column, lit->literal,
                                          stats_);
       op->SetEstimatedRows(
-          std::max(Card(q.box_id) * PredSelectivity(*p), 1.0));
+          std::max(EstimateCard(q.box_id) * PredSelectivity(*p), 1.0));
       pushed.erase(pushed.begin() + i);
       break;
     }
@@ -268,14 +269,14 @@ Result<OperatorPtr> Planner::QuantSource(const Quantifier& q,
       op = std::make_unique<RangeScanOp>(table, best_col, std::move(lo),
                                          lo_inc, std::move(hi), hi_inc,
                                          stats_);
-      op->SetEstimatedRows(std::max(Card(q.box_id) * sel, 1.0));
+      op->SetEstimatedRows(std::max(EstimateCard(q.box_id) * sel, 1.0));
       for (auto it = used.rbegin(); it != used.rend(); ++it) {
         pushed.erase(pushed.begin() + *it);
       }
     }
   }
   if (op == nullptr) {
-    XNFDB_ASSIGN_OR_RETURN(op, Iterator(q.box_id));
+    XNFDB_ASSIGN_OR_RETURN(op, BoxIterator(q.box_id));
   }
   if (!pushed.empty()) {
     Layout layout;
@@ -344,7 +345,7 @@ double Planner::PredSelectivity(const Expr& pred) {
   return 0.5;
 }
 
-double Planner::Card(int box_id) {
+double Planner::EstimateCard(int box_id) {
   auto it = card_cache_.find(box_id);
   if (it != card_cache_.end()) return it->second;
   card_cache_[box_id] = 1000.0;  // cycle guard
@@ -369,7 +370,7 @@ double Planner::Card(int box_id) {
     }
     case BoxKind::kSelect: {
       for (const Quantifier& q : box->quants) {
-        if (q.kind == QuantKind::kForeach) card *= Card(q.box_id);
+        if (q.kind == QuantKind::kForeach) card *= EstimateCard(q.box_id);
       }
       for (const qgm::ExprPtr& p : box->preds) {
         card *= PredSelectivity(*p);
@@ -383,7 +384,7 @@ double Planner::Card(int box_id) {
     }
     case BoxKind::kUnion: {
       card = 0;
-      for (int in : box->union_inputs) card += Card(in);
+      for (int in : box->union_inputs) card += EstimateCard(in);
       break;
     }
     default:
@@ -396,7 +397,7 @@ double Planner::Card(int box_id) {
 
 double Planner::QuantCard(const Quantifier& q,
                           const std::vector<const Expr*>& pushed) {
-  double card = Card(q.box_id);
+  double card = EstimateCard(q.box_id);
   for (const Expr* p : pushed) card *= PredSelectivity(*p);
   return std::max(card, 1.0);
 }

@@ -22,7 +22,6 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/status.h"
@@ -41,6 +40,10 @@ struct PlanOptions {
   // default batch size, and callers pull the returned trees at their own.
   // Kept for callers outside src/ that size their pull batch from it.
   int batch_size = 1;
+  // Morsel workers (0 = XNFDB_MORSEL_WORKERS or 1). Above 1, a shared box
+  // whose producer is morsel-drivable is compiled once per worker and its
+  // spool builds on morsels.
+  int morsel_workers = 0;
   // Base-table substitution (matview delta propagation): a box referencing
   // table `name` scans the mapped transient table instead of the catalog
   // one. Overridden tables never take index access paths — delta tables
@@ -52,16 +55,16 @@ struct PlanOptions {
 // must outlive the planner and the operators it creates; the operators
 // share ownership of spool state, so they may outlive the planner.
 //
-// Thread safety: BoxIterator and EstimateCard take one plain mutex, so
-// several workers may compile and then execute their operator trees
-// concurrently. Readers of one spool share its state: the first to open it
-// fills it under the spool's latch, the others wait and then read the
-// finished rows (base tables are read-only during query execution).
+// Thread safety: a planner is used by one thread, which compiles every
+// tree of the query, morsel clones included. The trees may then run on
+// several morsel workers. Readers of one spool share its state: the first
+// to open it fills it under the spool's latch, the others wait and then
+// read the finished rows (base tables are read-only during query
+// execution).
 class Planner {
  public:
   Planner(const Catalog* catalog, const qgm::QueryGraph* graph,
-          PlanOptions options, ExecStats* stats)
-      : catalog_(catalog), graph_(graph), options_(options), stats_(stats) {}
+          PlanOptions options, ExecStats* stats);
 
   // An iterator producing the head rows of `box_id`. A shared box is
   // compiled once; each call returns a new reader of its spool.
@@ -71,10 +74,6 @@ class Planner {
   double EstimateCard(int box_id);
 
  private:
-  // BoxIterator / EstimateCard with mu_ held.
-  Result<OperatorPtr> Iterator(int box_id);
-  double Card(int box_id);
-
   Result<OperatorPtr> CompileBox(int box_id);
   Result<OperatorPtr> CompileSelect(const qgm::Box& box);
   Result<OperatorPtr> CompileUnion(const qgm::Box& box);
@@ -106,7 +105,6 @@ class Planner {
   PlanOptions options_;
   ExecStats* stats_;
 
-  std::mutex mu_;  // taken once per public call
   std::map<int, std::shared_ptr<SpoolState>> spools_;  // by shared box id
   std::map<int, double> card_cache_;
 };

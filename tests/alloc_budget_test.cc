@@ -66,8 +66,7 @@ TEST(AllocBudgetTest, DepsArcExtractionStaysUnderTenAllocationsPerItem) {
   // The default execution configuration, pinned against the env knobs.
   ExecOptions eo;
   eo.batch_size = kDefaultBatchSize;
-  eo.morsel_workers = 1;
-  eo.parallel_workers = 1;
+  eo.plan.morsel_workers = 1;
   // Warm-up: lazily computed table statistics are not the executor's cost.
   ASSERT_TRUE(ExecuteGraph(db.catalog(), *compiled.value().graph, eo).ok());
 

@@ -1,5 +1,5 @@
 // Tests of vectorized batch execution (ExecOptions::batch_size) and
-// morsel-driven scan parallelism (ExecOptions::morsel_workers): results
+// morsel-driven scan parallelism (PlanOptions::morsel_workers): results
 // must be identical at every batch size — batch_size=1 runs batches of one
 // row through the same operators — and batch boundaries (empty input,
 // exactly batch_size rows, batch_size ± 1, fully filtered batches) must
@@ -200,22 +200,21 @@ TEST(BatchExecTest, EqualitySweepOverTable1Queries) {
   }
 }
 
-// A scan-heavy single-stream query with small morsels must be executed by
-// more than one claimed morsel, and still return the sequential answer in
-// the sequential order.
+// A scan-heavy single-stream query at four workers (4-row morsels over 64
+// rows) must be executed by more than one claimed morsel, and still return
+// the sequential answer in the sequential order.
 TEST(BatchExecTest, MorselClaimingSplitsScanAcrossWorkers) {
   Database db;
   const int kN = 64;
   LoadCounterTable(&db, kN);
   ExecOptions seq;
-  seq.morsel_workers = 1;
+  seq.plan.morsel_workers = 1;
   Result<QueryResult> a = db.Query("SELECT A FROM T WHERE A >= 10", {}, seq);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   EXPECT_EQ(a.value().stats.morsels_claimed.load(), 0);
 
   ExecOptions par;
-  par.morsel_workers = 4;
-  par.morsel_rows = 8;
+  par.plan.morsel_workers = 4;
   Result<QueryResult> b = db.Query("SELECT A FROM T WHERE A >= 10", {}, par);
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_GE(b.value().stats.morsels_claimed.load(), 2);
@@ -226,18 +225,24 @@ TEST(BatchExecTest, MorselClaimingSplitsScanAcrossWorkers) {
 }
 
 // Morsel execution of the full XNF query matches sequential execution.
+// Its scans all run in spool builds (the outputs read spools), so the
+// morsels claimed here are the spool builds'.
 TEST(BatchExecTest, MorselXnfMatchesSequential) {
   Database db;
+  db.matviews().set_enabled(false);
   ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());
-  Result<QueryResult> seq =
-      db.Query(testing_util::kDepsArcQuery, {}, ExecOptions{});
+  ExecOptions one;
+  one.plan.morsel_workers = 1;
+  Result<QueryResult> seq = db.Query(testing_util::kDepsArcQuery, {}, one);
   ASSERT_TRUE(seq.ok()) << seq.status().ToString();
   ExecOptions par;
-  par.morsel_workers = 4;
-  par.morsel_rows = 2;
+  par.plan.morsel_workers = 4;
   Result<QueryResult> r = db.Query(testing_util::kDepsArcQuery, {}, par);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(Canonical(seq.value()), Canonical(r.value()));
+  EXPECT_GT(r.value().stats.morsels_claimed.load(), 0);
+  EXPECT_EQ(seq.value().stats.spool_builds.load(),
+            r.value().stats.spool_builds.load());
 }
 
 }  // namespace

@@ -248,7 +248,8 @@ TEST(DiagnosticBundleTest, BundleIsACompleteSetOfCheckedFiles) {
   EXPECT_NE(env[0].payload.find("XNFDB_MATVIEWS="), std::string::npos);
   EXPECT_NE(env[0].payload.find("XNFDB_MORSEL_WORKERS="), std::string::npos);
   EXPECT_EQ(env[0].payload.find("XNFDB_PLAN_FEEDBACK"), std::string::npos);
-  EXPECT_EQ(env[0].records, 25u);
+  EXPECT_EQ(env[0].payload.find("XNFDB_MORSEL_ROWS"), std::string::npos);
+  EXPECT_EQ(env[0].records, 24u);
   auto lines = [](const std::string& text) {
     return static_cast<size_t>(std::count(text.begin(), text.end(), '\n'));
   };

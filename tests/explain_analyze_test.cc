@@ -157,9 +157,11 @@ TEST(ExplainAnalyzeTest, AnalyzeWorksUnderParallelExecution) {
   Result<QueryResult> a = db.Query(testing_util::kDepsArcQuery, {}, seq);
   ASSERT_TRUE(a.ok());
   ExecOptions par = seq;
-  par.parallel_workers = 4;
+  par.plan.morsel_workers = 4;
   Result<QueryResult> b = db.Query(testing_util::kDepsArcQuery, {}, par);
   ASSERT_TRUE(b.ok());
+  // Analyze mode renders one annotated tree per output, so it runs serial.
+  EXPECT_EQ(b.value().stats.morsels_claimed.load(), 0);
   ASSERT_EQ(a.value().plan_texts.size(), b.value().plan_texts.size());
   for (size_t i = 0; i < a.value().plan_texts.size(); ++i) {
     EXPECT_EQ(RootActualRows(a.value().plan_texts[i]),

@@ -39,16 +39,14 @@ struct Config {
   const char* name;
   int batch_size;
   int morsel_workers;
-  int64_t morsel_rows;
-  int parallel_workers;
 };
 
 const Config kConfigs[] = {
-    {"batch=1", 1, 1, 0, 1},
-    {"batch=7", 7, 1, 0, 1},
-    {"batch=default", 0, 1, 0, 1},
-    {"morsel_workers=4", 0, 4, 3, 1},
-    {"parallel_workers=4", 0, 1, 0, 4},
+    {"batch=1", 1, 1},
+    {"batch=7", 7, 1},
+    {"batch=default", 0, 1},
+    {"morsel_workers=4", 0, 4},
+    {"morsel_workers=2 batch=7", 7, 2},
 };
 
 // One line per stream item: "R <output> #<tid> v1|v2|..." for component
@@ -84,9 +82,7 @@ std::string RenderCase(Database* db, const std::string& title,
     SCOPED_TRACE(title + " @ " + c.name);
     ExecOptions eo;
     eo.batch_size = c.batch_size;
-    eo.morsel_workers = c.morsel_workers;
-    eo.morsel_rows = c.morsel_rows;
-    eo.parallel_workers = c.parallel_workers;
+    eo.plan.morsel_workers = c.morsel_workers;
     Result<QueryResult> r = db->Query(sql, {}, eo);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     if (!r.ok()) return "== " + title + "\n";
@@ -143,8 +139,7 @@ const char* kBomQuery = R"sql(
 TEST(ExtractionStreamsGoldenTest, StreamsMatchGoldenFileUnderEveryKnob) {
   // Explicit ExecOptions override every execution knob; matviews are off so
   // every run executes instead of replaying a stored stream.
-  for (const char* knob : {"XNFDB_BATCH_SIZE", "XNFDB_MORSEL_WORKERS",
-                           "XNFDB_MORSEL_ROWS"}) {
+  for (const char* knob : {"XNFDB_BATCH_SIZE", "XNFDB_MORSEL_WORKERS"}) {
     ::unsetenv(knob);
   }
   std::string actual;

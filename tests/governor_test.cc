@@ -69,7 +69,7 @@ TEST(GovernorTest, ExpiredDeadlineTerminatesParallelAndMorselQueries) {
   ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());
   {
     ExecOptions eo;
-    eo.parallel_workers = 4;
+    eo.plan.morsel_workers = 4;
     eo.context = ExpiredContext();
     Result<QueryResult> r = db.Query(testing_util::kDepsArcQuery, {}, eo);
     ASSERT_FALSE(r.ok());
@@ -78,8 +78,7 @@ TEST(GovernorTest, ExpiredDeadlineTerminatesParallelAndMorselQueries) {
   }
   {
     ExecOptions eo;
-    eo.morsel_workers = 4;
-    eo.morsel_rows = 2;
+    eo.plan.morsel_workers = 4;
     eo.context = ExpiredContext();
     Result<QueryResult> r = db.Query("SELECT * FROM EMP WHERE SAL > 0", {}, eo);
     ASSERT_FALSE(r.ok());
@@ -143,8 +142,7 @@ TEST(GovernorTest, RowBudgetAppliesUnderMorselParallelism) {
   Database db;
   LoadWide(&db, 2000);
   ExecOptions eo;
-  eo.morsel_workers = 4;
-  eo.morsel_rows = 64;
+  eo.plan.morsel_workers = 4;
   eo.max_result_rows = 10;
   Result<QueryResult> r = db.Query("SELECT * FROM WIDE WHERE K >= 0", {}, eo);
   ASSERT_FALSE(r.ok());
@@ -361,14 +359,13 @@ TEST(GovernorTest, CancellationHammerProducesOnlyTerminalStatuses) {
         Status status = Status::Ok();
         switch ((t + i) % 3) {
           case 0: {
-            eo.morsel_workers = 4;
-            eo.morsel_rows = 2;
+            eo.plan.morsel_workers = 4;
             auto r = db.Query("SELECT * FROM EMP WHERE SAL > 0", {}, eo);
             if (!r.ok()) status = r.status();
             break;
           }
           case 1: {
-            eo.parallel_workers = 4;
+            eo.plan.morsel_workers = 4;
             auto r = db.Query(testing_util::kDepsArcQuery, {}, eo);
             if (!r.ok()) status = r.status();
             break;
@@ -466,8 +463,9 @@ TEST(GovernorTest, DeadlineInterruptsNestedLoopJoinProbing) {
 // Every deps_ARC output reads shared spools, and nothing is materialized
 // before a spool is built, so a 1-byte budget trips in the first spool
 // build; half the query's total trips later, part-way through the builds.
-// Readers of a failed spool on other output threads wait on its latch and
-// must get the failure, never a partly built spool served as complete.
+// With several morsel workers the builds run on morsels, and every worker
+// sees the trip; a failed build must fail the query, never be served as a
+// complete spool.
 TEST(GovernorTest, FailedSpoolBuildFailsTheQueryAtEveryParallelism) {
   Database db;
   ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());
@@ -483,7 +481,7 @@ TEST(GovernorTest, FailedSpoolBuildFailsTheQueryAtEveryParallelism) {
     for (int workers : {1, 4, 8}) {
       for (int run = 0; run < 20; ++run) {
         ExecOptions eo;
-        eo.parallel_workers = workers;
+        eo.plan.morsel_workers = workers;
         eo.mem_budget_bytes = budget;
         Result<QueryResult> r =
             db.Query(testing_util::kDepsArcQuery, {}, eo);

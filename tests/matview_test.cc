@@ -347,7 +347,7 @@ void RunPropertyShape(const Shape& shape, int morsel_workers) {
   mirror.matviews().set_enabled(false);
 
   ExecOptions eo;
-  eo.morsel_workers = morsel_workers;
+  eo.plan.morsel_workers = morsel_workers;
 
   // Warm until the store serves this shape.
   for (int i = 0; i < 3; ++i) {

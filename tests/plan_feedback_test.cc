@@ -111,25 +111,51 @@ TEST(PlanFeedbackTest, PlanHashStableAcrossExecutionKnobs) {
   // matview_scan plan (that flip has its own coverage in matview_test).
   db.matviews().set_enabled(false);
   ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());
-  const char* q = "SELECT ENAME FROM EMP WHERE SAL > 75000.0";
-  ExecOptions base;
-  Result<QueryResult> a = db.Query(q, {}, base);
-  ASSERT_TRUE(a.ok());
-  ASSERT_NE(a.value().plan_hash, 0u);
-  ExecOptions small_batches;
-  small_batches.batch_size = 1;
-  Result<QueryResult> b = db.Query(q, {}, small_batches);
-  ASSERT_TRUE(b.ok());
-  ExecOptions morsels;
-  morsels.morsel_workers = 4;
-  morsels.morsel_rows = 2;
-  Result<QueryResult> c = db.Query(q, {}, morsels);
-  ASSERT_TRUE(c.ok());
-  // The plan-shape hash keys plan-change detection: execution knobs that
-  // do not change the operator tree must not flip it.
-  EXPECT_EQ(a.value().plan_hash, b.value().plan_hash);
-  EXPECT_EQ(a.value().plan_hash, c.value().plan_hash);
-  EXPECT_EQ(a.value().plan_shape, c.value().plan_shape);
+  // A morsel-split scan pipeline, and one whose clones each build a
+  // hash-join side off the morsel path.
+  for (const char* q : {"SELECT ENAME FROM EMP WHERE SAL > 75000.0",
+                        "SELECT e.ENAME, d.DNAME FROM EMP e, DEPT d "
+                        "WHERE e.EDNO = d.DNO"}) {
+    SCOPED_TRACE(q);
+    ExecOptions base;
+    base.plan.morsel_workers = 1;
+    Result<QueryResult> a = db.Query(q, {}, base);
+    ASSERT_TRUE(a.ok());
+    ASSERT_NE(a.value().plan_hash, 0u);
+    ExecOptions small_batches = base;
+    small_batches.batch_size = 1;
+    Result<QueryResult> b = db.Query(q, {}, small_batches);
+    ASSERT_TRUE(b.ok());
+    ExecOptions morsels;
+    morsels.plan.morsel_workers = 4;
+    Result<QueryResult> c = db.Query(q, {}, morsels);
+    ASSERT_TRUE(c.ok());
+    // The plan-shape hash keys plan-change detection: execution knobs that
+    // do not change the operator tree must not flip it.
+    EXPECT_EQ(a.value().plan_hash, b.value().plan_hash);
+    EXPECT_EQ(a.value().plan_hash, c.value().plan_hash);
+    EXPECT_EQ(a.value().plan_shape, c.value().plan_shape);
+    // The clones of a split pipeline fold as one loop of it, so every
+    // operator's feedback is the serial one. (Database::Query moves the
+    // feedback into the statement record, so run the executor directly.)
+    Result<CompiledQuery> compiled = CompileQueryString(db.catalog(), q);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    Result<QueryResult> fa =
+        ExecuteGraph(db.catalog(), *compiled.value().graph, base);
+    Result<QueryResult> fc =
+        ExecuteGraph(db.catalog(), *compiled.value().graph, morsels);
+    ASSERT_TRUE(fa.ok() && fc.ok());
+    ASSERT_GT(fc.value().stats.morsels_claimed.load(), 1);
+    const std::vector<obs::OpFeedback>& a_ops = fa.value().feedback;
+    const std::vector<obs::OpFeedback>& c_ops = fc.value().feedback;
+    ASSERT_FALSE(a_ops.empty());
+    ASSERT_EQ(a_ops.size(), c_ops.size());
+    for (size_t i = 0; i < a_ops.size(); ++i) {
+      SCOPED_TRACE(a_ops[i].op);
+      EXPECT_EQ(a_ops[i].op, c_ops[i].op);
+      EXPECT_DOUBLE_EQ(a_ops[i].q_error, c_ops[i].q_error);
+    }
+  }
 }
 
 TEST(PlanFeedbackTest, IndexCreationFlipsPlanAndWarns) {

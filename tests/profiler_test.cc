@@ -351,7 +351,8 @@ TEST(QueryProfileTest, EnvKnobDisablesCapture) {
 TEST(QueryProfileTest, MorselExecutionRecordsWorkerRows) {
   Database db;
   // A scan-heavy single-stream query qualifies for morsel parallelism
-  // (plain scan pipeline, no breaker); small morsels force several claims.
+  // (plain scan pipeline, no breaker); 64 rows at four workers give 16
+  // morsels.
   ASSERT_TRUE(db.Execute("CREATE TABLE T (A INTEGER)").ok());
   std::string script;
   for (int i = 0; i < 64; ++i) {
@@ -359,8 +360,7 @@ TEST(QueryProfileTest, MorselExecutionRecordsWorkerRows) {
   }
   ASSERT_TRUE(db.ExecuteScript(script).ok());
   ExecOptions eo;
-  eo.morsel_workers = 4;
-  eo.morsel_rows = 8;
+  eo.plan.morsel_workers = 4;
   Result<QueryResult> r = db.Query("SELECT A FROM T WHERE A >= 10", {}, eo);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_FALSE(r.value().profile.workers.empty());

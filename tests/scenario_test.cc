@@ -33,7 +33,7 @@ TEST_F(ScenarioTest, FullLifeCycle) {
   // 1. Extraction: one server call for the whole CO.
   db_.ResetServerCalls();
   XNFCache::Options options;
-  options.exec.parallel_workers = 4;
+  options.exec.plan.morsel_workers = 4;
   Result<std::unique_ptr<XNFCache>> cache =
       XNFCache::Evaluate(&db_, bench::kDepsArcQuery, options);
   ASSERT_TRUE(cache.ok()) << cache.status().ToString();
@@ -115,7 +115,7 @@ TEST_F(ScenarioTest, FullLifeCycle) {
 
 TEST_F(ScenarioTest, ParallelAndSequentialExtractionIdentical) {
   XNFCache::Options seq, par;
-  par.exec.parallel_workers = 8;
+  par.exec.plan.morsel_workers = 8;
   Result<std::unique_ptr<XNFCache>> a =
       XNFCache::Evaluate(&db_, bench::kDepsArcQuery, seq);
   Result<std::unique_ptr<XNFCache>> b =

@@ -50,7 +50,7 @@ TEST(StatementViewsGoldenTest, FixedScriptMatchesGoldenFile) {
   // Knobs that change operator row/loop splits or switch capture off are
   // reset to their defaults; matviews are off so every run executes.
   for (const char* knob : {"XNFDB_BATCH_SIZE", "XNFDB_MORSEL_WORKERS",
-                           "XNFDB_MORSEL_ROWS", "XNFDB_QUERY_PROFILES"}) {
+                           "XNFDB_QUERY_PROFILES"}) {
     ::unsetenv(knob);
   }
   Database db;
