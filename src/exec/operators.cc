@@ -215,6 +215,47 @@ Status AppendJoined(const Tuple& left, RowView right,
   return Status::Ok();
 }
 
+// The flat offset of `e` in rows described by `layout` when `e` is a plain
+// column reference into it.
+std::optional<size_t> FlatColumn(const qgm::Expr& e, const Layout& layout) {
+  if (e.kind != qgm::Expr::Kind::kColRef || !layout.Has(e.quant_id)) {
+    return std::nullopt;
+  }
+  return layout.Offset(e.quant_id) + static_cast<size_t>(e.column);
+}
+
+// True when `row` holds a member of every filter's set.
+bool KeyFiltersPass(const std::vector<KeyFilter>& filters,
+                    const Tuple& row) {
+  for (const KeyFilter& f : filters) {
+    if (!f.Contains(row[f.column])) return false;
+  }
+  return true;
+}
+
+// The largest distinct count among `scans`: a set that reaches it can be
+// taken by none of them.
+size_t MaxDistinct(const std::vector<KeyFilterScan>& scans) {
+  size_t bound = 0;
+  for (const KeyFilterScan& s : scans) bound = std::max(bound, s.distinct);
+  return bound;
+}
+
+// Hands the value set (`keys` indexed by `index`) to every scan in `scans`
+// whose column has more distinct values than the set: a set with as many
+// values as the column has is unlikely to drop enough rows to pay for
+// testing every row. Returns whether any scan took it.
+bool OfferKeyFilter(const std::vector<KeyFilterScan>& scans,
+                    const RowStore& keys, const RowHashIndex& index) {
+  bool taken = false;
+  for (const KeyFilterScan& s : scans) {
+    if (index.KeyCount() >= s.distinct) continue;
+    s.scan->AddKeyFilter(KeyFilter{s.column, &keys, &index});
+    taken = true;
+  }
+  return taken;
+}
+
 }  // namespace
 
 Result<std::vector<Tuple>> DrainOperator(Operator* op, int batch_size) {
@@ -322,14 +363,27 @@ bool ScanOp::ClaimMorsel() {
   return true;
 }
 
+void ScanOp::KeyFilterScans(size_t column, bool build_side,
+                            std::vector<KeyFilterScan>* out) {
+  if (!build_side || column >= table_->schema().size()) return;
+  const int c = static_cast<int>(column);
+  out->push_back(KeyFilterScan{this, c, table_->GetColumnStats(c).distinct});
+}
+
 Result<bool> ScanOp::NextBatchImpl(TupleBatch* out) {
+  int64_t scanned = 0;
   while (!out->Full()) {
     Rid end = morsels_ != nullptr ? morsel_end_ : table_->rid_bound();
     while (rid_ < end && !out->Full()) {
       Rid r = rid_++;
       if (!table_->IsLive(r)) continue;
-      out->AppendRow() = table_->Get(r);  // copy-assign reuses slot buffers
-      if (stats_ != nullptr) ++stats_->rows_scanned;
+      ++scanned;
+      const Tuple& row = table_->Get(r);
+      if (!filters_.empty() && !KeyFiltersPass(filters_, row)) {
+        ++filtered_;
+        continue;
+      }
+      out->AppendRow() = row;  // copy-assign reuses slot buffers
     }
     if (rid_ < end) break;  // batch filled mid-range
     if (morsels_ == nullptr) break;
@@ -338,7 +392,10 @@ Result<bool> ScanOp::NextBatchImpl(TupleBatch* out) {
     if (!out->Empty()) break;
     if (!ClaimMorsel()) break;
   }
-  if (!out->Empty() && stats_ != nullptr) ++stats_->batches_scan;
+  if (stats_ != nullptr) {
+    if (scanned > 0) stats_->rows_scanned += scanned;
+    if (!out->Empty()) ++stats_->batches_scan;
+  }
   return !out->Empty();
 }
 
@@ -435,9 +492,11 @@ Result<bool> SpoolReadOp::NextBatchImpl(TupleBatch* out) {
   const RowStore& rows = spool_->rows;
   while (pos_ < rows.size() && !out->Full()) {
     rows.CopyRow(pos_++, &out->AppendRow());
-    if (stats_ != nullptr) ++stats_->spool_read_rows;
   }
-  if (!out->Empty() && stats_ != nullptr) ++stats_->batches_spool;
+  if (!out->Empty() && stats_ != nullptr) {
+    stats_->spool_read_rows += static_cast<int64_t>(out->ActiveCount());
+    ++stats_->batches_spool;
+  }
   return !out->Empty();
 }
 
@@ -484,6 +543,14 @@ Result<bool> ProjectOp::NextBatchImpl(TupleBatch* out) {
   }
   if (stats_ != nullptr) ++stats_->batches_project;
   return true;
+}
+
+void ProjectOp::KeyFilterScans(size_t column, bool build_side,
+                               std::vector<KeyFilterScan>* out) {
+  if (column >= exprs_.size()) return;
+  if (std::optional<size_t> in = FlatColumn(*exprs_[column], layout_)) {
+    child_->KeyFilterScans(*in, build_side, out);
+  }
 }
 
 Result<bool> DistinctOp::FirstSighting(const Tuple& row) {
@@ -563,21 +630,93 @@ Result<bool> LimitOp::NextBatchImpl(TupleBatch* out) {
 // --- joins ---------------------------------------------------------------------
 
 Status HashJoinOp::OpenImpl() {
-  XNFDB_RETURN_IF_ERROR(left_->Open());
-  XNFDB_RETURN_IF_ERROR(right_->Open());
   // Resolve all-ColRef probe keys to flat column offsets once, so per-row
   // probing indexes directly instead of walking the expression tree.
   left_key_cols_.clear();
   left_keys_flat_ = !left_keys_.empty();
   for (const qgm::Expr* k : left_keys_) {
-    if (k->kind != qgm::Expr::Kind::kColRef || !left_layout_.Has(k->quant_id)) {
+    std::optional<size_t> col = FlatColumn(*k, left_layout_);
+    if (!col.has_value()) {
       left_keys_flat_ = false;
       break;
     }
-    left_key_cols_.push_back(left_layout_.Offset(k->quant_id) +
-                             static_cast<size_t>(k->column));
+    left_key_cols_.push_back(*col);
   }
-  return Build();
+  key_sets_.clear();
+  if (auto* spool = dynamic_cast<SpoolReadOp*>(left_.get())) {
+    XNFDB_RETURN_IF_ERROR(left_->Open());
+    XNFDB_RETURN_IF_ERROR(FilterBuildSide(spool->rows()));
+    XNFDB_RETURN_IF_ERROR(right_->Open());
+    return Build();
+  }
+  XNFDB_RETURN_IF_ERROR(right_->Open());
+  XNFDB_RETURN_IF_ERROR(Build());
+  XNFDB_RETURN_IF_ERROR(FilterProbeSide());
+  return left_->Open();
+}
+
+void HashJoinOp::KeyFilterScans(size_t column, bool build_side,
+                                std::vector<KeyFilterScan>* out) {
+  const size_t left_width = left_layout_.TotalWidth();
+  if (column < left_width) {
+    left_->KeyFilterScans(column, build_side, out);
+  } else {
+    right_->KeyFilterScans(column - left_width, true, out);
+  }
+}
+
+Status HashJoinOp::AddKeyValue(size_t k, const Value& v) {
+  if (v.is_null()) return Status::Ok();
+  const RowView key(&v, 1);
+  if (!key_sets_[k].Intern(key).second || context() == nullptr) {
+    return Status::Ok();
+  }
+  return context()->ReserveBytes(ApproxTupleBytes(key));
+}
+
+Status HashJoinOp::FilterBuildSide(const RowStore& rows) {
+  for (size_t k = 0; k < right_keys_.size(); ++k) {
+    std::optional<size_t> col = FlatColumn(*right_keys_[k], right_layout_);
+    if (!col.has_value()) continue;
+    std::vector<KeyFilterScan> scans;
+    right_->KeyFilterScans(*col, true, &scans);
+    if (scans.empty()) continue;
+    // Building stops once no scan could take the set.
+    const size_t bound = MaxDistinct(scans);
+    key_sets_.resize(left_keys_.size());  // once: scans point into it
+    RowSet& set = key_sets_[k];
+    set.Reset(static_cast<double>(std::min(rows.size(), bound)));
+    for (size_t r = 0; r < rows.size() && set.size() < bound; ++r) {
+      XNFDB_ASSIGN_OR_RETURN(
+          Value v, EvalExpr(*left_keys_[k], left_layout_, rows.Row(r)));
+      XNFDB_RETURN_IF_ERROR(AddKeyValue(k, v));
+    }
+    if (!OfferKeyFilter(scans, set.rows(), set.index())) set.Reset(0);
+  }
+  return Status::Ok();
+}
+
+Status HashJoinOp::FilterProbeSide() {
+  for (size_t k = 0; k < left_keys_.size(); ++k) {
+    std::optional<size_t> col = FlatColumn(*left_keys_[k], left_layout_);
+    if (!col.has_value()) continue;
+    std::vector<KeyFilterScan> scans;
+    left_->KeyFilterScans(*col, false, &scans);
+    if (scans.empty()) continue;
+    if (left_keys_.size() == 1) {  // the build index is the key's value set
+      OfferKeyFilter(scans, build_keys_, build_index_);
+      continue;
+    }
+    const size_t bound = MaxDistinct(scans);
+    key_sets_.resize(left_keys_.size());  // once: scans point into it
+    RowSet& set = key_sets_[k];
+    set.Reset(static_cast<double>(std::min(build_keys_.size(), bound)));
+    for (size_t r = 0; r < build_keys_.size() && set.size() < bound; ++r) {
+      XNFDB_RETURN_IF_ERROR(AddKeyValue(k, build_keys_.Row(r)[k]));
+    }
+    if (!OfferKeyFilter(scans, set.rows(), set.index())) set.Reset(0);
+  }
+  return Status::Ok();
 }
 
 Status HashJoinOp::Build() {
@@ -639,7 +778,6 @@ Result<uint32_t> HashJoinOp::FirstMatch(const Tuple& row) {
 }
 
 Status HashJoinOp::ProbeInto(const Tuple& left, TupleBatch* out) {
-  if (stats_ != nullptr) ++stats_->join_probes;
   XNFDB_ASSIGN_OR_RETURN(uint32_t m, FirstMatch(left));
   for (; m != RowHashIndex::kNone; m = build_index_.NextDuplicate(m)) {
     XNFDB_RETURN_IF_ERROR(AppendJoined(left, build_rows_.Row(m), residual_,
@@ -652,6 +790,9 @@ Result<bool> HashJoinOp::NextBatchImpl(TupleBatch* out) {
   left_batch_.set_capacity(out->capacity());
   XNFDB_ASSIGN_OR_RETURN(bool more, left_->NextBatch(&left_batch_));
   if (!more) return false;
+  if (stats_ != nullptr) {
+    stats_->join_probes += static_cast<int64_t>(left_batch_.ActiveCount());
+  }
   for (size_t i = 0; i < left_batch_.ActiveCount(); ++i) {
     XNFDB_RETURN_IF_ERROR(ProbeInto(left_batch_.Active(i), out));
   }
@@ -1020,7 +1161,11 @@ std::string RenderExprs(const std::vector<const qgm::Expr*>& exprs) {
 }  // namespace
 
 void ScanOp::ExplainImpl(int depth, std::string* out) const {
-  SelfLine(depth, "Scan(" + table_->name() + ")", out);
+  std::string line = "Scan(" + table_->name() + ")";
+  if (filtered_ > 0) {
+    line += " key_filter(dropped=" + std::to_string(filtered_) + ")";
+  }
+  SelfLine(depth, line, out);
 }
 
 void VirtualScanOp::ExplainImpl(int depth, std::string* out) const {

@@ -100,6 +100,33 @@ struct ExecStats {
 
 class ScanOp;
 
+// A semi-join key filter (Bernstein & Chiu, JACM 1981): the set of a hash
+// join's key values in one key column, pushed into a base-table scan under
+// the join so that the scan drops rows that could never join. The set is
+// the one-value rows of `keys` indexed by `index`, both owned by the join.
+// Membership uses the join's own key equality (HashRow/RowsEqual, so
+// 2 = 2.0), and NULL is never a member.
+struct KeyFilter {
+  int column = 0;  // the scan column tested
+  const RowStore* keys = nullptr;
+  const RowHashIndex* index = nullptr;
+
+  bool Contains(const Value& v) const {
+    if (v.is_null()) return false;
+    const RowView key(&v, 1);
+    return index->Find(HashRow(key), [&](uint32_t id) {
+             return RowsEqual(keys->Row(id), key);
+           }) != RowHashIndex::kNone;
+  }
+};
+
+// A scan that can take a key filter on one of its columns.
+struct KeyFilterScan {
+  ScanOp* scan;
+  int column;
+  size_t distinct;  // the column's distinct count (Table::GetColumnStats)
+};
+
 // Shared morsel dispenser for one morsel-parallel scan (HyPer-style):
 // worker threads claim fixed-size row ranges [m * rows_per_morsel,
 // (m+1) * rows_per_morsel) from the atomic cursor. `bound` is the scan's
@@ -196,6 +223,18 @@ class Operator {
   // join build side or a union branch across workers would compute wrong
   // results.
   virtual ScanOp* MorselDriver() { return nullptr; }
+
+  // Semi-join key filters: appends to `*out` the base-table scans under
+  // this operator that may drop a row whose output column `column` holds
+  // a value outside a join's key set. The search passes only through
+  // operators whose output rows carry that column's value from one input
+  // row: project, filter, distinct and both inputs of hash joins. A scan
+  // is taken only with `build_side` set, which entering a hash join's
+  // build input sets: a set pushed down a join's probe side lands only on
+  // scans that feed a lower join's build side, where dropping a row saves
+  // a copy and a hash insert rather than trading one probe for another.
+  virtual void KeyFilterScans(size_t /*column*/, bool /*build_side*/,
+                              std::vector<KeyFilterScan>* /*out*/) {}
 
  protected:
   virtual Status OpenImpl() = 0;
@@ -314,7 +353,17 @@ class ScanOp : public Operator {
   // the morsel-worker profile rows report it).
   int64_t claimed_morsels() const { return claimed_; }
 
+  // Keeps only rows whose filter column holds a member of the filter's
+  // set, until Close. Call before Open. A dropped row still counts as
+  // scanned: the scan read it.
+  void AddKeyFilter(const KeyFilter& filter) { filters_.push_back(filter); }
+
+  // Rows key filters dropped, across loops (EXPLAIN ANALYZE).
+  int64_t key_filtered_rows() const { return filtered_; }
+
   ScanOp* MorselDriver() override { return this; }
+  void KeyFilterScans(size_t column, bool build_side,
+                      std::vector<KeyFilterScan>* out) override;
   const char* Kind() const override { return "scan"; }
   void ShapeToken(std::string* out) const override;
 
@@ -327,7 +376,9 @@ class ScanOp : public Operator {
     return Status::Ok();
   }
   Result<bool> NextBatchImpl(TupleBatch* out) override;
-  void CloseImpl() override {}
+  // The key filters belong to the joins' current builds: a reopened plan
+  // pushes them again.
+  void CloseImpl() override { filters_.clear(); }
 
   void ExplainImpl(int depth, std::string* out) const override;
 
@@ -342,6 +393,8 @@ class ScanOp : public Operator {
   Rid morsel_end_ = 0;  // exclusive end of the claimed range (morsel mode)
   int64_t current_morsel_ = -1;
   int64_t claimed_ = 0;
+  std::vector<KeyFilter> filters_;
+  int64_t filtered_ = 0;  // rows dropped by key filters, across loops
 };
 
 // Scan over a virtual system table (storage/sysview.h): the provider's
@@ -497,6 +550,9 @@ class SpoolReadOp : public Operator {
 
   const char* Kind() const override { return "spool_read"; }
 
+  // The spool's rows; valid after a successful Open.
+  const RowStore& rows() const { return spool_->rows; }
+
  protected:
   // Builds the spool if no reader has yet: drains the producer under this
   // reader's governance context, at the default batch size (it is a
@@ -527,6 +583,10 @@ class FilterOp : public Operator {
 
   std::vector<Operator*> Children() override { return {child_.get()}; }
   ScanOp* MorselDriver() override { return child_->MorselDriver(); }
+  void KeyFilterScans(size_t column, bool build_side,
+                      std::vector<KeyFilterScan>* out) override {
+    child_->KeyFilterScans(column, build_side, out);
+  }
   const char* Kind() const override { return "filter"; }
 
  protected:
@@ -556,6 +616,8 @@ class ProjectOp : public Operator {
 
   std::vector<Operator*> Children() override { return {child_.get()}; }
   ScanOp* MorselDriver() override { return child_->MorselDriver(); }
+  void KeyFilterScans(size_t column, bool build_side,
+                      std::vector<KeyFilterScan>* out) override;
   const char* Kind() const override { return "project"; }
 
  protected:
@@ -578,6 +640,12 @@ class DistinctOp : public Operator {
   explicit DistinctOp(OperatorPtr child) : child_(std::move(child)) {}
 
   std::vector<Operator*> Children() override { return {child_.get()}; }
+  // Dropping input rows by one column's value drops only output rows with
+  // that value: equal rows hold equal values.
+  void KeyFilterScans(size_t column, bool build_side,
+                      std::vector<KeyFilterScan>* out) override {
+    child_->KeyFilterScans(column, build_side, out);
+  }
   const char* Kind() const override { return "distinct"; }
 
  protected:
@@ -660,6 +728,15 @@ class LimitOp : public Operator {
 
 // Hash equi-join; residual predicates evaluated over the combined row
 // (left columns then right columns).
+//
+// The join carries one runtime semi-join filter (DESIGN.md §10.2). When the
+// probe side is a spool, its rows exist once it is open, so the join
+// pushes the set of each probe key's values into the build side's scans
+// before opening them. Otherwise it opens and builds the build side first
+// and pushes each build key's value set down the probe side, onto scans
+// that feed a lower join's build side. Inner equi-joins drop exactly
+// those rows later anyway, and a filtered scan keeps its order, so the
+// output stays the same row for row.
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(OperatorPtr left, OperatorPtr right,
@@ -683,6 +760,8 @@ class HashJoinOp : public Operator {
   // Probe (left) side only: the build side must be fully built by every
   // worker, so it is never morselized.
   ScanOp* MorselDriver() override { return left_->MorselDriver(); }
+  void KeyFilterScans(size_t column, bool build_side,
+                      std::vector<KeyFilterScan>* out) override;
   const char* Kind() const override { return "hash_join"; }
 
  protected:
@@ -700,6 +779,13 @@ class HashJoinOp : public Operator {
  private:
   // Drains the build side into build_rows_/build_keys_/build_index_.
   Status Build();
+  // Pushes the value set of each probe key over the open spool's `rows`
+  // into the build side's scans.
+  Status FilterBuildSide(const RowStore& rows);
+  // Pushes the value set of each build key down the probe side.
+  Status FilterProbeSide();
+  // Adds non-NULL `v` to key_sets_[k], charging a new value's bytes.
+  Status AddKeyValue(size_t k, const Value& v);
   // Evaluates the probe-side key exprs against `row` into probe_key_ and
   // returns the first build row matching it (RowHashIndex::kNone when the
   // key has a NULL or no build row matches).
@@ -728,6 +814,10 @@ class HashJoinOp : public Operator {
   bool left_keys_flat_ = false;
   Tuple probe_key_;  // reused per probe
   TupleBatch left_batch_{1};  // probe-side batch, sized like the output
+  // Per key column, the value set handed to key filters, when the join
+  // built one; sized by the first set an Open builds, before any scan
+  // holds a pointer into it, and never resized after.
+  std::vector<RowSet> key_sets_;
 };
 
 // Nested-loop join (inner side materialized) for non-equi predicates.

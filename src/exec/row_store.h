@@ -99,6 +99,9 @@ class RowHashIndex {
     keys_ = 0;
   }
 
+  // Distinct keys indexed.
+  size_t KeyCount() const { return keys_; }
+
   // The first-inserted id whose key equals the probe key (`eq(id)` tests an
   // indexed id against it), or kNone.
   template <typename Eq>
@@ -235,6 +238,8 @@ class RowSet {
 
   size_t size() const { return rows_.size(); }
   RowView Row(size_t id) const { return rows_.Row(id); }
+  const RowStore& rows() const { return rows_; }
+  const RowHashIndex& index() const { return index_; }
 
  private:
   RowStore rows_;

@@ -6,8 +6,23 @@
 
 namespace xnfdb {
 
+namespace {
+
+// Adds `rid` to `rids`, keeping them ascending: an index lookup then
+// returns rows in scan order. New rows append; a row whose key an update
+// changed lands among the older ones.
+void InsertRid(std::vector<Rid>* rids, Rid rid) {
+  if (rids->empty() || rids->back() < rid) {
+    rids->push_back(rid);
+    return;
+  }
+  rids->insert(std::lower_bound(rids->begin(), rids->end(), rid), rid);
+}
+
+}  // namespace
+
 void HashIndex::Insert(const Value& key, Rid rid) {
-  buckets_[key].push_back(rid);
+  InsertRid(&buckets_[key], rid);
 }
 
 void HashIndex::Erase(const Value& key, Rid rid) {
@@ -25,7 +40,7 @@ const std::vector<Rid>* HashIndex::Lookup(const Value& key) const {
 }
 
 void OrderedIndex::Insert(const Value& key, Rid rid) {
-  entries_[key].push_back(rid);
+  InsertRid(&entries_[key], rid);
 }
 
 void OrderedIndex::Erase(const Value& key, Rid rid) {
@@ -72,13 +87,18 @@ Status Table::Update(Rid rid, Tuple row) {
                             " in table " + name_);
   }
   XNFDB_RETURN_IF_ERROR(schema_.ValidateTuple(row));
+  // An index whose key the update leaves unchanged keeps its entry.
   for (auto& index : indexes_) {
-    index->Erase(rows_[rid][index->column()], rid);
-    index->Insert(row[index->column()], rid);
+    const int c = index->column();
+    if (rows_[rid][c] == row[c]) continue;
+    index->Erase(rows_[rid][c], rid);
+    index->Insert(row[c], rid);
   }
   for (auto& index : ordered_indexes_) {
-    index->Erase(rows_[rid][index->column()], rid);
-    index->Insert(row[index->column()], rid);
+    const int c = index->column();
+    if (rows_[rid][c] == row[c]) continue;
+    index->Erase(rows_[rid][c], rid);
+    index->Insert(row[c], rid);
   }
   rows_[rid] = std::move(row);
   InvalidateStats();

@@ -292,5 +292,310 @@ TEST(OperatorsTest, ReopenResetsState) {
   EXPECT_EQ(second.value().size(), 1u);
 }
 
+// --- semi-join key filters ---------------------------------------------
+
+// A base table (K INTEGER, V INTEGER) holding `rows`.
+std::unique_ptr<Table> MakeTable(const std::vector<Tuple>& rows) {
+  auto table = std::make_unique<Table>(
+      "B", Schema({{"K", DataType::kInt}, {"V", DataType::kInt}}));
+  for (const Tuple& row : rows) EXPECT_TRUE(table->Insert(row).ok());
+  return table;
+}
+
+// A reader of a spool that holds `rows` once its first reader opens it.
+OperatorPtr Spool(const std::vector<Tuple>& rows) {
+  return std::make_unique<SpoolReadOp>(
+      std::make_shared<SpoolState>(Source(rows)), nullptr);
+}
+
+// A hash join of two-column quantifiers `l` (probe) and `r` (build) on
+// the given column pairs; `residual` may be null.
+OperatorPtr Join(OperatorPtr probe, OperatorPtr build, const Layout& left,
+                 int r, const std::vector<std::pair<int, int>>& keys,
+                 int l_quant, std::vector<ExprPtr>* exprs,
+                 const Expr* residual = nullptr, ExecStats* stats = nullptr) {
+  Layout right = TwoColLayout(r);
+  Layout combined = left;
+  combined.Add(r, left.TotalWidth(), 2);
+  std::vector<const Expr*> lkeys, rkeys, res;
+  for (const auto& [lc, rc] : keys) {
+    exprs->push_back(Expr::MakeColRef(l_quant, lc));
+    lkeys.push_back(exprs->back().get());
+    exprs->push_back(Expr::MakeColRef(r, rc));
+    rkeys.push_back(exprs->back().get());
+  }
+  if (residual != nullptr) res.push_back(residual);
+  return std::make_unique<HashJoinOp>(std::move(probe), std::move(build),
+                                      lkeys, rkeys, res, left, right,
+                                      combined, stats);
+}
+
+std::string Render(Operator* op) {
+  Result<std::vector<Tuple>> rows = DrainOperator(op, 7);
+  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+  std::string out;
+  if (!rows.ok()) return out;
+  for (const Tuple& row : rows.value()) out += TupleToString(row);
+  return out;
+}
+
+// Rows of `table` in scan order, as a plain source no filter can reach.
+OperatorPtr Unfiltered(const Table& table) {
+  std::vector<Tuple> rows;
+  for (Rid r = 0; r < table.rid_bound(); ++r) rows.push_back(table.Get(r));
+  return Source(rows);
+}
+
+// A spool on the probe side: the join pushes the set of its probe-key
+// values into the build-side scan, which drops the other rows before
+// copying them but still counts them as scanned. The output is the
+// unfiltered join's, row for row.
+TEST(KeyFilterTest, SpoolProbeFiltersTheBuildScan) {
+  std::vector<Tuple> b_rows;
+  for (int64_t k = 1; k <= 20; ++k) b_rows.push_back(Row(k, 10 * k));
+  b_rows.push_back(Row(3, 31));
+  std::unique_ptr<Table> b = MakeTable(b_rows);
+  const std::vector<Tuple> probe = {Row(3, 0), Row(5, 0), Row(3, 1)};
+  std::vector<ExprPtr> exprs;
+  ExecStats stats;
+  auto scan = std::make_unique<ScanOp>(b.get(), &stats);
+  ScanOp* scan_op = scan.get();
+  OperatorPtr join = Join(Spool(probe), std::move(scan), TwoColLayout(0), 1,
+                          {{0, 0}}, 0, &exprs, nullptr, &stats);
+  join->EnableAnalyze();
+  OperatorPtr reference = Join(Source(probe), Unfiltered(*b), TwoColLayout(0),
+                               1, {{0, 0}}, 0, &exprs);
+  const std::string expected = Render(reference.get());
+  EXPECT_EQ(expected,
+            "(3, 0, 3, 30)(3, 0, 3, 31)(5, 0, 5, 50)(3, 1, 3, 30)"
+            "(3, 1, 3, 31)");
+  EXPECT_EQ(Render(join.get()), expected);
+  EXPECT_EQ(scan_op->actuals().rows, 3);
+  EXPECT_EQ(scan_op->key_filtered_rows(), 18);
+  EXPECT_EQ(stats.rows_scanned, 21);
+  EXPECT_EQ(stats.join_probes, 3);
+  std::string plan;
+  join->Explain(0, &plan);
+  EXPECT_NE(plan.find("Scan(B) key_filter(dropped=18)"), std::string::npos)
+      << plan;
+}
+
+// A join whose probe side is not a spool builds first, then pushes its
+// build-key set through a distinct and a lower join onto the scan that
+// feeds the lower join's build side.
+TEST(KeyFilterTest, BuildSetPushedThroughLowerJoin) {
+  std::unique_ptr<Table> b = MakeTable({Row(1, 100), Row(1, 101), Row(2, 200),
+                                        Row(3, 300), Row(3, 301), Row(2, 201)});
+  const std::vector<Tuple> a = {Row(1, 0), Row(2, 0), Row(3, 0)};
+  const std::vector<Tuple> c = {Row(101, 7), Row(300, 8)};
+  Layout lower = TwoColLayout(0);
+  lower.Add(1, 2, 2);
+  std::vector<ExprPtr> exprs;
+  auto build = [&](OperatorPtr b_side) {
+    OperatorPtr l = Join(Source(a), std::move(b_side), TwoColLayout(0), 1,
+                         {{0, 0}}, 0, &exprs);
+    // The upper key is the lower build side's V (q1.#1).
+    return Join(std::make_unique<DistinctOp>(std::move(l)), Source(c), lower,
+                2, {{1, 0}}, 1, &exprs);
+  };
+  auto scan = std::make_unique<ScanOp>(b.get(), nullptr);
+  ScanOp* scan_op = scan.get();
+  OperatorPtr join = build(std::move(scan));
+  OperatorPtr reference = build(Unfiltered(*b));
+  const std::string expected = Render(reference.get());
+  EXPECT_EQ(expected, "(1, 0, 1, 101, 101, 7)(3, 0, 3, 300, 300, 8)");
+  EXPECT_EQ(Render(join.get()), expected);
+  EXPECT_EQ(scan_op->actuals().rows, 2);
+  EXPECT_EQ(scan_op->key_filtered_rows(), 4);
+}
+
+// A set follows a key column through a projection to the scan column it
+// reads: here the build side swaps the scan's columns.
+TEST(KeyFilterTest, SetFollowsAProjectedColumn) {
+  std::unique_ptr<Table> b =
+      MakeTable({Row(1, 10), Row(2, 20), Row(3, 10), Row(10, 30)});
+  const std::vector<Tuple> probe = {Row(10, 0)};
+  std::vector<ExprPtr> exprs;
+  ExprPtr v = Expr::MakeColRef(5, 1);
+  ExprPtr k = Expr::MakeColRef(5, 0);
+  auto swapped = [&](OperatorPtr b_side) -> OperatorPtr {
+    std::vector<const Expr*> cols = {v.get(), k.get()};
+    return std::make_unique<ProjectOp>(std::move(b_side), cols,
+                                       TwoColLayout(5));
+  };
+  auto scan = std::make_unique<ScanOp>(b.get(), nullptr);
+  ScanOp* scan_op = scan.get();
+  OperatorPtr join = Join(Spool(probe), swapped(std::move(scan)),
+                          TwoColLayout(0), 1, {{0, 0}}, 0, &exprs);
+  OperatorPtr reference = Join(Source(probe), swapped(Unfiltered(*b)),
+                               TwoColLayout(0), 1, {{0, 0}}, 0, &exprs);
+  const std::string expected = Render(reference.get());
+  EXPECT_EQ(expected, "(10, 0, 10, 1)(10, 0, 10, 3)");
+  EXPECT_EQ(Render(join.get()), expected);
+  EXPECT_EQ(scan_op->key_filtered_rows(), 2);  // V = 20 and V = 30
+}
+
+// A set pushed down a probe side lands only on scans that feed a lower
+// join's build side: the scan that drives the probe side keeps every row,
+// since there a dropped row would only trade one hash probe for another.
+TEST(KeyFilterTest, ProbeSideDrivingScanTakesNoSet) {
+  std::unique_ptr<Table> a =
+      MakeTable({Row(1, 0), Row(2, 0), Row(3, 0), Row(4, 0)});
+  Layout lower = TwoColLayout(1);
+  lower.Add(2, 2, 2);
+  std::vector<ExprPtr> exprs;
+  auto scan = std::make_unique<ScanOp>(a.get(), nullptr);
+  ScanOp* scan_op = scan.get();
+  OperatorPtr l = Join(std::move(scan), Source({Row(0, 7)}), TwoColLayout(1),
+                       2, {{1, 0}}, 1, &exprs);
+  // The upper key is the driving scan's K (q1.#0).
+  OperatorPtr join = Join(std::move(l), Source({Row(2, 9)}), lower, 3,
+                          {{0, 0}}, 1, &exprs);
+  EXPECT_EQ(Render(join.get()), "(2, 0, 0, 7, 2, 9)");
+  EXPECT_EQ(scan_op->actuals().rows, 4);
+  EXPECT_EQ(scan_op->key_filtered_rows(), 0);
+}
+
+// NULL is never in a set: a NULL-keyed row is dropped like a non-member,
+// and a NULL probe key adds nothing to the set.
+TEST(KeyFilterTest, NullKeysAreDropped) {
+  std::unique_ptr<Table> b = MakeTable({{Value::Null(), Value(int64_t{1})},
+                                        Row(4, 2), Row(5, 3), Row(6, 4)});
+  const std::vector<Tuple> probe = {{Value::Null(), Value(int64_t{0})},
+                                    Row(4, 0)};
+  std::vector<ExprPtr> exprs;
+  auto scan = std::make_unique<ScanOp>(b.get(), nullptr);
+  ScanOp* scan_op = scan.get();
+  OperatorPtr join = Join(Spool(probe), std::move(scan), TwoColLayout(0), 1,
+                          {{0, 0}}, 0, &exprs);
+  OperatorPtr reference = Join(Source(probe), Unfiltered(*b), TwoColLayout(0),
+                               1, {{0, 0}}, 0, &exprs);
+  const std::string expected = Render(reference.get());
+  EXPECT_EQ(expected, "(4, 0, 4, 2)");
+  EXPECT_EQ(Render(join.get()), expected);
+  EXPECT_EQ(scan_op->actuals().rows, 1);
+  EXPECT_EQ(scan_op->key_filtered_rows(), 3);
+}
+
+// Set membership is the join's key equality: DOUBLE 2.0 keeps INTEGER 2.
+TEST(KeyFilterTest, IntegerKeysMatchDoubleSet) {
+  std::unique_ptr<Table> b =
+      MakeTable({Row(1, 10), Row(2, 20), Row(3, 30), Row(2, 21)});
+  const std::vector<Tuple> probe = {{Value(2.0), Value(int64_t{0})}};
+  std::vector<ExprPtr> exprs;
+  auto scan = std::make_unique<ScanOp>(b.get(), nullptr);
+  ScanOp* scan_op = scan.get();
+  OperatorPtr join = Join(Spool(probe), std::move(scan), TwoColLayout(0), 1,
+                          {{0, 0}}, 0, &exprs);
+  OperatorPtr reference = Join(Source(probe), Unfiltered(*b), TwoColLayout(0),
+                               1, {{0, 0}}, 0, &exprs);
+  const std::string expected = Render(reference.get());
+  EXPECT_EQ(expected, "(2, 0, 2, 20)(2, 0, 2, 21)");
+  EXPECT_EQ(Render(join.get()), expected);
+  EXPECT_EQ(scan_op->key_filtered_rows(), 2);
+}
+
+// The filter tests keys only; the residual predicate still decides among
+// the rows it keeps.
+TEST(KeyFilterTest, ResidualPredicateStillApplies) {
+  std::unique_ptr<Table> b = MakeTable(
+      {Row(1, 100), Row(1, 5), Row(2, 1), Row(3, 300), Row(4, 400)});
+  const std::vector<Tuple> probe = {Row(1, 10), Row(2, 20)};
+  ExprPtr residual =
+      Expr::MakeBinary(">", Expr::MakeColRef(1, 1), Expr::MakeColRef(0, 1));
+  std::vector<ExprPtr> exprs;
+  auto scan = std::make_unique<ScanOp>(b.get(), nullptr);
+  ScanOp* scan_op = scan.get();
+  OperatorPtr join = Join(Spool(probe), std::move(scan), TwoColLayout(0), 1,
+                          {{0, 0}}, 0, &exprs, residual.get());
+  OperatorPtr reference = Join(Source(probe), Unfiltered(*b), TwoColLayout(0),
+                               1, {{0, 0}}, 0, &exprs, residual.get());
+  const std::string expected = Render(reference.get());
+  EXPECT_EQ(expected, "(1, 10, 1, 100)");
+  EXPECT_EQ(Render(join.get()), expected);
+  EXPECT_EQ(scan_op->key_filtered_rows(), 2);
+}
+
+// A multi-key join builds one set per key column, from the spool's rows
+// or from its build keys, and a scan keeps a row only when every column
+// it is filtered on holds a member.
+TEST(KeyFilterTest, MultiKeyJoinFiltersEachKeyColumn) {
+  std::unique_ptr<Table> b = MakeTable({Row(1, 10), Row(1, 20), Row(2, 20),
+                                        Row(3, 10), Row(2, 30), Row(4, 40)});
+  const std::vector<Tuple> keys = {Row(1, 10), Row(2, 20)};
+  std::vector<ExprPtr> exprs;
+  // A spool on the probe side.
+  auto scan = std::make_unique<ScanOp>(b.get(), nullptr);
+  ScanOp* scan_op = scan.get();
+  OperatorPtr join = Join(Spool(keys), std::move(scan), TwoColLayout(0), 1,
+                          {{0, 0}, {1, 1}}, 0, &exprs);
+  OperatorPtr reference = Join(Source(keys), Unfiltered(*b), TwoColLayout(0),
+                               1, {{0, 0}, {1, 1}}, 0, &exprs);
+  const std::string expected = Render(reference.get());
+  EXPECT_EQ(expected, "(1, 10, 1, 10)(2, 20, 2, 20)");
+  EXPECT_EQ(Render(join.get()), expected);
+  EXPECT_EQ(scan_op->key_filtered_rows(), 3);  // (3,10) (2,30) (4,40)
+
+  // Build keys pushed through a lower join: the upper join matches the
+  // lower build side's (K, V) against `keys`.
+  Layout lower = TwoColLayout(0);
+  lower.Add(1, 2, 2);
+  const std::vector<Tuple> a = {Row(1, 0), Row(2, 0), Row(3, 0), Row(4, 0)};
+  auto build = [&](OperatorPtr b_side) {
+    OperatorPtr l = Join(Source(a), std::move(b_side), TwoColLayout(0), 1,
+                         {{0, 0}}, 0, &exprs);
+    return Join(std::move(l), Source(keys), lower, 2, {{0, 0}, {1, 1}}, 1,
+                &exprs);
+  };
+  auto lower_scan = std::make_unique<ScanOp>(b.get(), nullptr);
+  ScanOp* lower_scan_op = lower_scan.get();
+  OperatorPtr upper = build(std::move(lower_scan));
+  OperatorPtr upper_reference = build(Unfiltered(*b));
+  const std::string upper_expected = Render(upper_reference.get());
+  EXPECT_EQ(upper_expected, "(1, 0, 1, 10, 1, 10)(2, 0, 2, 20, 2, 20)");
+  EXPECT_EQ(Render(upper.get()), upper_expected);
+  EXPECT_EQ(lower_scan_op->key_filtered_rows(), 3);
+}
+
+// An empty build side is an empty set: the lower build scan drops every
+// row, and still counts each as scanned.
+TEST(KeyFilterTest, EmptyBuildSideDropsEveryLowerBuildRow) {
+  std::unique_ptr<Table> b = MakeTable({Row(1, 100), Row(2, 200)});
+  Layout lower = TwoColLayout(0);
+  lower.Add(1, 2, 2);
+  std::vector<ExprPtr> exprs;
+  ExecStats stats;
+  auto scan = std::make_unique<ScanOp>(b.get(), &stats);
+  ScanOp* scan_op = scan.get();
+  OperatorPtr l = Join(Source({Row(1, 0), Row(2, 0)}), std::move(scan),
+                       TwoColLayout(0), 1, {{0, 0}}, 0, &exprs);
+  OperatorPtr join = Join(std::move(l), Source({}), lower, 2, {{1, 0}}, 1,
+                          &exprs);
+  EXPECT_EQ(Render(join.get()), "");
+  EXPECT_EQ(scan_op->actuals().rows, 0);
+  EXPECT_EQ(scan_op->key_filtered_rows(), 2);
+  EXPECT_EQ(stats.rows_scanned, 2);
+}
+
+// A set no smaller than the column's distinct count could drop no row of
+// a column whose values it all holds, so the scan is not given it.
+TEST(KeyFilterTest, SetNotSmallerThanDistinctCountIsNotApplied) {
+  std::unique_ptr<Table> b =
+      MakeTable({Row(1, 10), Row(2, 20), Row(3, 30), Row(1, 11)});
+  const std::vector<Tuple> probe = {Row(1, 0), Row(2, 0), Row(9, 0)};
+  std::vector<ExprPtr> exprs;
+  auto scan = std::make_unique<ScanOp>(b.get(), nullptr);
+  ScanOp* scan_op = scan.get();
+  OperatorPtr join = Join(Spool(probe), std::move(scan), TwoColLayout(0), 1,
+                          {{0, 0}}, 0, &exprs);
+  join->EnableAnalyze();
+  EXPECT_EQ(Render(join.get()), "(1, 0, 1, 10)(1, 0, 1, 11)(2, 0, 2, 20)");
+  EXPECT_EQ(scan_op->actuals().rows, 4);
+  EXPECT_EQ(scan_op->key_filtered_rows(), 0);
+  std::string plan;
+  join->Explain(0, &plan);
+  EXPECT_EQ(plan.find("key_filter"), std::string::npos) << plan;
+}
+
 }  // namespace
 }  // namespace xnfdb

@@ -3,7 +3,10 @@
 //  * XNF: shared rewrite == unshared rewrite == fixpoint evaluator,
 //  * SQL: every planner configuration (hash join / nested loops, index /
 //    scan, hashed / naive exists) returns the same answer,
-//  * rewrite: with and without the E-to-F conversion.
+//  * rewrite: with and without the E-to-F conversion,
+//  * hash-join and nested-loop plans deliver the same stream, in order:
+//    the semi-join key filters a hash join pushes into scans drop only
+//    rows the join drops anyway.
 //
 // Seeds are swept with a parameterized suite (TEST_P).
 
@@ -12,6 +15,8 @@
 #include <map>
 #include <random>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "api/database.h"
 #include "parser/parser.h"
@@ -104,6 +109,24 @@ std::set<std::string> Canonical(const QueryResult& result) {
   return out;
 }
 
+// One string per stream item, in delivery order: "R <output> #<tid>
+// <values>" for component rows, "C <output> <tid>,..." for connections.
+std::vector<std::string> StreamItems(const QueryResult& result) {
+  std::vector<std::string> out;
+  for (const StreamItem& item : result.stream) {
+    const std::string& name = result.outputs[item.output].name;
+    if (item.kind == StreamItem::Kind::kRow) {
+      out.push_back("R " + name + " #" + std::to_string(item.tid) + " " +
+                    TupleToString(item.values));
+      continue;
+    }
+    std::string s = "C " + name + " ";
+    for (TupleId tid : item.tids) s += std::to_string(tid) + ",";
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
 class XnfPropertyTest : public ::testing::TestWithParam<uint32_t> {};
 
 INSTANTIATE_TEST_SUITE_P(Seeds, XnfPropertyTest,
@@ -135,6 +158,23 @@ TEST_P(XnfPropertyTest, AllXnfStrategiesAgree) {
                                       << GetParam();
   EXPECT_EQ(ca, Canonical(c.value())) << "shared vs fixpoint, seed "
                                       << GetParam();
+}
+
+// PROPERTY is a three-way relationship like deps_ARC's EMPPROPERTY: its
+// hash plan pushes the XEMP spool's keys into the EMPSKILLS scan, and the
+// XEMP producer pushes the XDEPT spool's keys into the EMP scan.
+TEST_P(XnfPropertyTest, HashAndNestedLoopPlansDeliverTheSameStream) {
+  Database db;
+  db.matviews().set_enabled(false);
+  LoadRandomDb(&db, GetParam());
+  ExecOptions nested_loops;
+  nested_loops.plan.use_hash_join = false;
+  Result<QueryResult> hash = db.Query(kXnfQuery);
+  ASSERT_TRUE(hash.ok()) << hash.status().ToString();
+  Result<QueryResult> nl = db.Query(kXnfQuery, {}, nested_loops);
+  ASSERT_TRUE(nl.ok()) << nl.status().ToString();
+  EXPECT_EQ(StreamItems(hash.value()), StreamItems(nl.value()))
+      << "seed " << GetParam();
 }
 
 TEST_P(XnfPropertyTest, ReachabilityInvariantHolds) {
@@ -206,6 +246,45 @@ TEST_P(SqlPropertyTest, PlannerConfigurationsAgree) {
     }
     EXPECT_EQ(variants.size(), 1u)
         << "planner configurations disagree on: " << sql;
+  }
+}
+
+// Row for row, in order: the three-way joins put an upper join's key set
+// on the lower join's build scan (EMP's ENOs on EMPSKILLS.ESENO), the
+// last query joins on two keys.
+TEST_P(SqlPropertyTest, HashAndNestedLoopPlansReturnTheSameRowsInOrder) {
+  Database db;
+  db.matviews().set_enabled(false);
+  LoadRandomDb(&db, GetParam() + 300);
+  const char* queries[] = {
+      "SELECT e.ENO, d.DNO FROM EMP e, DEPT d WHERE e.EDNO = d.DNO AND "
+      "d.LOC = 'ARC'",
+      "SELECT e.ENO, es.ESSNO, s.SNO FROM EMP e, EMPSKILLS es, SKILLS s "
+      "WHERE e.ENO = es.ESENO AND es.ESSNO = s.SNO AND e.SAL > 5000",
+      "SELECT DISTINCT es.ESSNO FROM DEPT d, EMP e, EMPSKILLS es "
+      "WHERE d.DNO = e.EDNO AND e.ENO = es.ESENO AND d.LOC = 'ARC'",
+      "SELECT e.ENO, es.ESSNO FROM EMP e, EMPSKILLS es, SKILLS s "
+      "WHERE e.ENO = es.ESENO AND e.EDNO = es.ESSNO AND es.ESSNO = s.SNO",
+  };
+  for (const char* sql : queries) {
+    for (bool indexes : {true, false}) {
+      std::vector<std::vector<std::string>> variants;
+      for (bool hash_join : {true, false}) {
+        ExecOptions opts;
+        opts.plan.use_hash_join = hash_join;
+        opts.plan.use_indexes = indexes;
+        Result<QueryResult> r = db.Query(sql, {}, opts);
+        ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+        std::vector<std::string> rows;
+        for (const Tuple& row : r.value().rows()) {
+          rows.push_back(TupleToString(row));
+        }
+        variants.push_back(std::move(rows));
+      }
+      EXPECT_EQ(variants[0], variants[1])
+          << "hash and nested-loop plans differ on: " << sql
+          << " (indexes " << indexes << ", seed " << GetParam() << ")";
+    }
   }
 }
 

@@ -338,6 +338,39 @@ TEST_F(SqlTest, IndexAccessPathUsed) {
   EXPECT_EQ(r2.value().stats.rows_scanned, 3);
 }
 
+// An index lookup returns rows in the order of a full scan, also after
+// updates: an update that leaves an indexed key unchanged keeps the row's
+// place in the index, and a row whose key changed joins its new bucket in
+// RID order.
+TEST_F(SqlTest, IndexScansKeepScanOrderAfterUpdates) {
+  ASSERT_TRUE(db_.ExecuteScript(R"sql(
+    CREATE TABLE T (A INTEGER, B INTEGER);
+    CREATE INDEX ON T (A);
+    CREATE ORDERED INDEX ON T (B);
+    INSERT INTO T VALUES (1, 10), (1, 20), (2, 25), (1, 30);
+    UPDATE T SET B = 11 WHERE B = 10;
+    UPDATE T SET A = 1, B = 21 WHERE B = 25;
+  )sql")
+                  .ok());
+  auto rendered = [&](const std::string& sql, bool indexed) {
+    Result<QueryResult> r = db_.Query(sql);
+    EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+    if (!r.ok()) return std::string();
+    EXPECT_EQ(r.value().stats.index_lookups.load() > 0, indexed) << sql;
+    std::string out;
+    for (const Tuple& row : r.value().rows()) out += TupleToString(row);
+    return out;
+  };
+  const std::string full =
+      rendered("SELECT A, B FROM T WHERE A + 0 = 1", false);
+  EXPECT_EQ(full, "(1, 11)(1, 20)(1, 21)(1, 30)");
+  EXPECT_EQ(rendered("SELECT A, B FROM T WHERE A = 1", true), full);
+  // The ordered index on B returns each key's rows in RID order too.
+  ASSERT_TRUE(db_.Execute("UPDATE T SET A = 5, B = 30 WHERE B = 11").ok());
+  EXPECT_EQ(rendered("SELECT A, B FROM T WHERE B = 30", true),
+            rendered("SELECT A, B FROM T WHERE B + 0 = 30", false));
+}
+
 TEST_F(SqlTest, OrderedIndexServesRangePredicates) {
   ASSERT_TRUE(db_.Execute("CREATE ORDERED INDEX ON EMP (SAL)").ok());
   Result<QueryResult> r = db_.Query(
