@@ -1,5 +1,6 @@
 #include "bench/workloads.h"
 
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -48,7 +49,15 @@ void WriteBenchJson(const std::string& name,
       << ",\"metrics\":" << obs::MetricsRegistry::Default().ToJson() << "}\n";
 }
 
-bool SmokeMode() { return ParseEnvBool("XNFDB_BENCH_SMOKE", false); }
+bool SmokeMode() {
+  const char* raw = std::getenv("XNFDB_BENCH_SMOKE");
+  if (raw == nullptr) return false;
+  std::string word = Trim(raw);
+  for (char& c : word) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return word == "1" || word == "true" || word == "yes" || word == "on";
+}
 
 std::vector<int> Scales(std::vector<int> full) {
   if (SmokeMode() && full.size() > 1) full.resize(1);

@@ -70,7 +70,7 @@ void CheckOk(const Status& status, const std::string& what);
 void WriteBenchJson(const std::string& name,
                     const std::string& results_json = "{}");
 
-// True when XNFDB_BENCH_SMOKE is set truthy (ParseEnvBool): benches should
+// True when XNFDB_BENCH_SMOKE is set truthy (1/true/yes/on): benches should
 // shrink their workloads to a seconds-scale sanity pass for CI.
 bool SmokeMode();
 

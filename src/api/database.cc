@@ -1,10 +1,7 @@
 #include "api/database.h"
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <iterator>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -12,7 +9,6 @@
 #include "common/crash.h"
 #include "common/file_format.h"
 #include "common/log.h"
-#include "common/str_util.h"
 #include "exec/expr_eval.h"
 #include "parser/parser.h"
 #include "semantics/builder.h"
@@ -101,12 +97,6 @@ Result<Value> EvalLiteralExpr(const ast::Expr& e) {
   }
 }
 
-int64_t NowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 const char* StatementKindTag(const ast::Statement& stmt) {
   using Kind = ast::Statement::Kind;
   switch (stmt.kind) {
@@ -134,17 +124,16 @@ const char* TerminationKeyword(const Status& status) {
 
 }  // namespace
 
-Database::Database(Env* env) : env_(env) {
-  capture_profiles_ = ParseEnvBool("XNFDB_QUERY_PROFILES", true);
-  // Re-resolve the forensics knob with the checked parser: the recorder
-  // bootstraps from raw getenv (obs sits below common), so the warn-once
-  // diagnostics for a malformed value happen here.
-  obs::FlightRecorder::Default().set_enabled(
-      ParseEnvBool("XNFDB_EVENTS", true));
-  qerror_alert_ = ParseEnvInt("XNFDB_QERROR_ALERT", 1, 1 << 30, 100);
-  // Crash forensics: a no-op unless XNFDB_CRASH_DIR is set. The gauge of
-  // reports already on disk feeds the crash_reports health rule either way.
-  InstallCrashHandlerFromEnv();
+Database::Database(Env* env, Config config)
+    : config_(std::move(config)), env_(env) {
+  // The process-wide knobs.
+  Logger::Default().set_level(config_.log_level);
+  Logger::Default().set_file_path(config_.log_path);
+  obs::FlightRecorder::Default().set_enabled(config_.events);
+  obs::FlightRecorder::Default().Resize(config_.event_ring);
+  // Crash forensics: only with a crash dir. The gauge of reports already
+  // on disk feeds the crash_reports health rule either way.
+  if (!config_.crash_dir.empty()) InstallCrashHandler(config_.crash_dir);
   metrics_->GetGauge("crash.reports_found")
       ->Set(CountCrashReports(CrashReportDir()));
   // Pre-register the forensic series the built-in health rules watch, so
@@ -152,21 +141,19 @@ Database::Database(Env* env) : env_(env) {
   metrics_->GetCounter("writeback.retries");
   metrics_->GetCounter("writeback.failures");
   // The catalog is empty at this point, so name collisions are impossible.
-  Status registered = RegisterSystemViews(&catalog_, metrics_, &statements_);
-  (void)registered;
-  // SYS$QUERIES, SYS$EVENTS, SYS$HEALTH, SYS$ALERTS, SYS$METRICS_HISTORY
-  // and the watchdog are registered / created here rather than in
-  // RegisterSystemViews because they expose api-layer or process-wide
-  // state (governor, recorder, health engine, sampler), which storage
-  // cannot depend on.
-  Status queries = catalog_.RegisterVirtualTable(MakeQueriesProvider(&governor_));
-  (void)queries;
-  Status events = catalog_.RegisterVirtualTable(
-      MakeEventsProvider(&obs::FlightRecorder::Default()));
-  (void)events;
-  Status matviews_view =
-      catalog_.RegisterVirtualTable(MakeMatViewsProvider(&matviews_));
-  (void)matviews_view;
+  (void)RegisterSystemViews(&catalog_, metrics_, &statements_);
+  sampler_ = std::make_unique<obs::MetricsSampler>(metrics_, config_.sampler);
+  // SYS$QUERIES, SYS$EVENTS, SYS$MATVIEWS, SYS$HEALTH, SYS$ALERTS,
+  // SYS$METRICS_HISTORY and the watchdog are registered / created here
+  // rather than in RegisterSystemViews because they expose api-layer or
+  // process-wide state (governor, recorder, health engine, sampler), which
+  // storage cannot depend on.
+  std::unique_ptr<VirtualTableProvider> views[] = {
+      MakeQueriesProvider(&governor_),
+      MakeEventsProvider(&obs::FlightRecorder::Default()),
+      MakeMatViewsProvider(&matviews_), MakeHealthProvider(&health_),
+      MakeAlertsProvider(&health_), MakeMetricsHistoryProvider(sampler_.get())};
+  for (auto& view : views) (void)catalog_.RegisterVirtualTable(std::move(view));
   for (obs::HealthRule& rule : obs::HealthEngine::BuiltinRules()) {
     health_.AddRule(std::move(rule));
   }
@@ -182,21 +169,6 @@ Database::Database(Env* env) : env_(env) {
          LogField::N("bound", static_cast<int64_t>(a.bound)),
          LogField::N("seq", a.seq)});
   });
-  Status health_view =
-      catalog_.RegisterVirtualTable(MakeHealthProvider(&health_));
-  (void)health_view;
-  Status alerts_view =
-      catalog_.RegisterVirtualTable(MakeAlertsProvider(&health_));
-  (void)alerts_view;
-  obs::MetricsSampler::Options sopts;
-  sopts.interval_ms = ParseEnvInt("XNFDB_METRICS_SAMPLE_MS", 0,
-                                  int64_t{1} << 40, 0);
-  sopts.ring_capacity = static_cast<size_t>(
-      ParseEnvInt("XNFDB_METRICS_RING", 1, 1 << 20, 120));
-  sampler_ = std::make_unique<obs::MetricsSampler>(metrics_, sopts);
-  Status history =
-      catalog_.RegisterVirtualTable(MakeMetricsHistoryProvider(sampler_.get()));
-  (void)history;
   // Health evaluation rides the sampler tick; the same tick refreshes the
   // crash handler's metrics context (the handler cannot snapshot the
   // registry itself — it only copies this pre-rendered buffer).
@@ -205,9 +177,9 @@ Database::Database(Env* env) : env_(env) {
         health_.OnSample(rows);
         if (CrashHandlerInstalled()) SetCrashContextMetrics(metrics_->ToJson());
       });
-  if (sopts.interval_ms > 0) sampler_->Start();
-  watchdog_ = std::make_unique<Watchdog>(&governor_, metrics_,
-                                         WatchdogOptions::FromEnv());
+  if (config_.sampler.interval_ms > 0) sampler_->Start();
+  watchdog_ =
+      std::make_unique<Watchdog>(&governor_, metrics_, config_.watchdog);
   watchdog_->Start();  // no-op unless XNFDB_WATCHDOG_STALL_MS > 0
   // Pre-register every exec.* counter at zero so SYS$METRICS exposes the
   // full execution-counter surface (including batch/morsel visibility)
@@ -218,10 +190,8 @@ Database::Database(Env* env) : env_(env) {
 Database::~Database() {
   // Trace dump is best-effort diagnostics; it bypasses the Env (and thus
   // fault injection) on purpose.
-  if (!tracer_.enabled()) return;
-  std::string path = obs::Tracer::EnvDumpPath();
-  if (path.empty()) return;
-  std::ofstream out(path, std::ios::trunc);
+  if (!tracer_.enabled() || config_.trace_path.empty()) return;
+  std::ofstream out(config_.trace_path, std::ios::trunc);
   if (out) out << tracer_.ChromeTraceJson();
 }
 
@@ -236,12 +206,16 @@ ExecOptions Database::WithObs(const ExecOptions& eopts) {
   ExecOptions eo = eopts;
   if (eo.tracer == nullptr) eo.tracer = &tracer_;
   if (eo.metrics == nullptr) eo.metrics = metrics_;
+  if (eo.batch_size <= 0) eo.batch_size = config_.batch_size;
+  if (eo.plan.morsel_workers <= 0) {
+    eo.plan.morsel_workers = config_.morsel_workers;
+  }
   // While the slow-query log is armed, run in analyze mode so a slow
   // statement's plan (with actuals) is already captured — no re-execution.
   if (slow_query_threshold_us_ >= 0) eo.analyze = true;
   // XNFDB_QUERY_PROFILES=0 turns the always-on capture (profile,
   // cardinality feedback, plan history, rewrite trace) off entirely.
-  if (!capture_profiles_) eo.collect_profile = false;
+  if (!config_.query_profiles) eo.collect_profile = false;
   return eo;
 }
 
@@ -261,7 +235,7 @@ void Database::RecordStatement(obs::StatementSample& sample,
   // furthest from its actual row count.
   obs::OpFeedback worst;
   obs::StatementRecordStore::PlanChange change = statements_.Record(
-      sample, slowlog && capture_profiles_ ? &worst : nullptr);
+      sample, slowlog && config_.query_profiles ? &worst : nullptr);
   // A materialized view starting or stopping to serve the statement is an
   // expected flip: it stays in SYS$PLAN_HISTORY but is not a regression.
   if (change.changed && !change.matview) {
@@ -304,9 +278,9 @@ void Database::RecordStatement(obs::StatementSample& sample,
 Status Database::RunTimed(const ast::Statement& stmt, Outcome* outcome) {
   Fingerprint fp = FingerprintStatement(stmt);
   obs::StatementSample sample;
-  int64_t t0 = NowUs();
+  int64_t t0 = QueryContext::NowUs();
   Status status = RunStatement(stmt, outcome, &sample);
-  sample.elapsed_us = NowUs() - t0;
+  sample.elapsed_us = QueryContext::NowUs() - t0;
   sample.digest = fp.digest;
   sample.text = std::move(fp.text);
   sample.kind = StatementKindTag(stmt);
@@ -335,7 +309,7 @@ Result<QueryResult> Database::ExecuteGoverned(CompiledQuery& compiled,
   }
   // A caller-supplied context is honoured as-is (its limits are the
   // caller's business); otherwise build one from the per-call knobs,
-  // falling back to the governor's env-derived defaults (-1), with 0 as
+  // falling back to the governor's configured defaults (-1), with 0 as
   // the explicit "no limit".
   if (eo.context == nullptr) {
     auto ctx = std::make_shared<QueryContext>();
@@ -392,7 +366,7 @@ Result<QueryResult> Database::ExecuteGoverned(CompiledQuery& compiled,
       if (capture) eo.collect_dedup_counts = true;
     }
   }
-  const int64_t exec_t0 = NowUs();
+  const int64_t exec_t0 = QueryContext::NowUs();
   Result<QueryResult> result =
       serve ? ServeMatView(compiled, mv, eo)
       : compiled.needs_fixpoint
@@ -419,7 +393,7 @@ Result<QueryResult> Database::ExecuteGoverned(CompiledQuery& compiled,
   if (result.ok() && eo.collect_profile) {
     QueryResult& r = result.value();
     obs::QueryProfile& profile = r.profile;
-    profile.wall_us = NowUs() - exec_t0;
+    profile.wall_us = QueryContext::NowUs() - exec_t0;
     profile.queue_wait_us = eo.context->queue_wait_us();
     profile.peak_bytes = eo.context->bytes_reserved();
     profile.rows_out = r.stats.rows_output;
@@ -430,7 +404,7 @@ Result<QueryResult> Database::ExecuteGoverned(CompiledQuery& compiled,
       for (const obs::OpFeedback& f : r.feedback) {
         if (f.est_rows >= 0 && f.q_error > worst_q) worst_q = f.q_error;
       }
-      if (worst_q >= static_cast<double>(qerror_alert_)) {
+      if (worst_q >= static_cast<double>(config_.qerror_alert)) {
         qerror_blowups_->Increment();
       }
       sample->planned = true;
@@ -478,7 +452,7 @@ Result<QueryResult> Database::ServeMatView(
         XNFDB_RETURN_IF_ERROR(op.Open());
         TupleBatch batch(BatchCapacityFor(
             static_cast<double>(od.rows.size()),
-            static_cast<size_t>(ResolveBatchSize(eo.batch_size))));
+            static_cast<size_t>(eo.batch_size)));
         size_t i = 0;
         while (true) {
           XNFDB_ASSIGN_OR_RETURN(bool more, op.NextBatch(&batch));
@@ -731,41 +705,15 @@ Status Database::WriteDiagnosticBundle(const std::string& dir) const {
     // Raw values of every knob plus the resolutions the engine runs with —
     // the first question of any incident review is "what was it configured
     // to do?".
-    static const char* const kKnobs[] = {
-        // logging, tracing and forensics
-        "XNFDB_LOG_LEVEL", "XNFDB_LOG", "XNFDB_TRACE", "XNFDB_EVENTS",
-        "XNFDB_EVENT_RING", "XNFDB_CRASH_DIR",
-        // statement record and metrics history
-        "XNFDB_QUERY_PROFILES", "XNFDB_QERROR_ALERT",
-        "XNFDB_METRICS_SAMPLE_MS", "XNFDB_METRICS_RING",
-        // watchdog and governor
-        "XNFDB_WATCHDOG_STALL_MS", "XNFDB_WATCHDOG_POLL_MS",
-        "XNFDB_WATCHDOG_CANCEL", "XNFDB_MAX_CONCURRENT_QUERIES",
-        "XNFDB_QUERY_TIMEOUT_MS", "XNFDB_MAX_RESULT_ROWS",
-        "XNFDB_MEM_BUDGET_BYTES",
-        // batch and morsel execution
-        "XNFDB_BATCH_SIZE", "XNFDB_MORSEL_WORKERS",
-        // materialized views
-        "XNFDB_MATVIEWS", "XNFDB_MATVIEW_AUTO_CALLS", "XNFDB_MATVIEW_AUTO_US",
-        "XNFDB_MATVIEW_MAX", "XNFDB_MATVIEW_MAX_ROWS"};
     std::string envs;
-    for (const char* knob : kKnobs) {
-      const char* raw = std::getenv(knob);
-      envs += std::string(knob) + "=" + (raw != nullptr ? raw : "<unset>") +
-              "\n";
-    }
-    const std::vector<std::pair<std::string, std::string>> resolved{
-        {"events_enabled",
-         std::to_string(obs::FlightRecorder::Default().enabled())},
-        {"event_ring",
-         std::to_string(obs::FlightRecorder::Default().capacity())},
-        {"crash_dir", CrashReportDir()},
-        {"capture_profiles", std::to_string(capture_profiles_)},
-        {"qerror_alert", std::to_string(qerror_alert_)}};
     std::string res;
-    for (const auto& [name, value] : resolved) res += name + "=" + value + "\n";
-    write_file("env.diag", {{"ENV", std::size(kKnobs), std::move(envs)},
-                            {"RESOLVED", resolved.size(), std::move(res)}});
+    const std::vector<Config::Knob> knobs = config_.Knobs();
+    for (const Config::Knob& k : knobs) {
+      envs += k.name + "=" + k.raw + "\n";
+      res += k.name + "=" + k.resolved + "\n";
+    }
+    write_file("env.diag", {{"ENV", knobs.size(), std::move(envs)},
+                            {"RESOLVED", knobs.size(), std::move(res)}});
   }
   {
     std::string lines;
@@ -780,7 +728,7 @@ Result<QueryResult> Database::Query(const std::string& text,
                                     const ExecOptions& eopts) {
   CountServerCall();
   obs::Span query_span = tracer_.StartSpan("query");
-  int64_t t0 = NowUs();
+  int64_t t0 = QueryContext::NowUs();
   XNFDB_ASSIGN_OR_RETURN(CompiledQuery compiled,
                          CompileQueryString(catalog_, text, WithObs(copts)));
   return RunCompiledQuery(compiled, eopts, t0);
@@ -789,10 +737,10 @@ Result<QueryResult> Database::Query(const std::string& text,
 Result<QueryResult> Database::RunCompiledQuery(CompiledQuery& compiled,
                                                const ExecOptions& eopts,
                                                int64_t t0) {
-  int64_t t1 = NowUs();
+  int64_t t1 = QueryContext::NowUs();
   obs::StatementSample sample;
   Result<QueryResult> result = ExecuteGoverned(compiled, eopts, &sample);
-  int64_t t2 = NowUs();
+  int64_t t2 = QueryContext::NowUs();
   sample.digest = compiled.digest;
   sample.text = std::move(compiled.normalized_text);
   sample.kind = "query";
@@ -850,7 +798,8 @@ Result<std::string> Database::ExplainCompiled(const CompiledQuery& compiled,
   }
   const qgm::Box* top = compiled.graph->box(compiled.graph->top_box_id());
   ExecStats stats;
-  Planner planner(&catalog_, compiled.graph.get(), eopts.plan, &stats);
+  Planner planner(&catalog_, compiled.graph.get(), WithObs(eopts).plan,
+                  &stats);
   for (const qgm::TopOutput& output : top->outputs) {
     out += "output " + output.name +
            (output.is_connection ? " [connection]" : "") + ":\n";
@@ -919,7 +868,7 @@ Result<QueryResult> Database::QueryXnf(const ast::XnfQuery& query,
                                        const ExecOptions& eopts) {
   CountServerCall();
   obs::Span query_span = tracer_.StartSpan("query");
-  int64_t t0 = NowUs();
+  int64_t t0 = QueryContext::NowUs();
   XNFDB_ASSIGN_OR_RETURN(CompiledQuery compiled,
                          CompileXnf(catalog_, query, WithObs(copts)));
   return RunCompiledQuery(compiled, eopts, t0);
@@ -931,29 +880,29 @@ Status Database::RunStatement(const ast::Statement& stmt, Outcome* outcome,
   switch (stmt.kind) {
     case Kind::kSelect: {
       const auto& s = static_cast<const ast::SelectStatement&>(stmt);
-      int64_t t0 = NowUs();
+      int64_t t0 = QueryContext::NowUs();
       XNFDB_ASSIGN_OR_RETURN(
           CompiledQuery compiled,
           CompileSelect(catalog_, *s.select, WithObs(CompileOptions())));
-      int64_t t1 = NowUs();
+      int64_t t1 = QueryContext::NowUs();
       XNFDB_ASSIGN_OR_RETURN(outcome->result,
                              ExecuteGoverned(compiled, ExecOptions(), sample));
       outcome->compile_us = t1 - t0;
-      outcome->execute_us = NowUs() - t1;
+      outcome->execute_us = QueryContext::NowUs() - t1;
       outcome->kind = Outcome::Kind::kRows;
       return Status::Ok();
     }
     case Kind::kXnfQuery: {
       const auto& s = static_cast<const ast::XnfStatement&>(stmt);
-      int64_t t0 = NowUs();
+      int64_t t0 = QueryContext::NowUs();
       XNFDB_ASSIGN_OR_RETURN(
           CompiledQuery compiled,
           CompileXnf(catalog_, *s.query, WithObs(CompileOptions())));
-      int64_t t1 = NowUs();
+      int64_t t1 = QueryContext::NowUs();
       XNFDB_ASSIGN_OR_RETURN(outcome->result,
                              ExecuteGoverned(compiled, ExecOptions(), sample));
       outcome->compile_us = t1 - t0;
-      outcome->execute_us = NowUs() - t1;
+      outcome->execute_us = QueryContext::NowUs() - t1;
       outcome->kind = Outcome::Kind::kRows;
       return Status::Ok();
     }
@@ -1073,7 +1022,8 @@ Status Database::RunInsert(const ast::InsertStatement& stmt,
   // changed the base table, and every dependent materialization must see
   // them (or go stale).
   if (!inserted_rows.empty()) {
-    matviews_.OnBaseTableDml(catalog_, table->name(), inserted_rows, {});
+    matviews_.OnBaseTableDml(catalog_, table->name(), inserted_rows, {},
+                             WithObs(ExecOptions{}));
   }
   XNFDB_RETURN_IF_ERROR(status);
   outcome->kind = Outcome::Kind::kAffected;
@@ -1134,7 +1084,8 @@ Status Database::RunUpdate(const ast::UpdateStatement& stmt,
   // An UPDATE is a delete of the old images plus an insert of the new ones;
   // rows updated before a mid-batch failure still count.
   if (!old_rows.empty()) {
-    matviews_.OnBaseTableDml(catalog_, table->name(), new_rows, old_rows);
+    matviews_.OnBaseTableDml(catalog_, table->name(), new_rows, old_rows,
+                             WithObs(ExecOptions{}));
   }
   XNFDB_RETURN_IF_ERROR(status);
   outcome->kind = Outcome::Kind::kAffected;
@@ -1166,7 +1117,8 @@ Status Database::RunDelete(const ast::DeleteStatement& stmt,
     }
   }
   if (!deleted_rows.empty()) {
-    matviews_.OnBaseTableDml(catalog_, table->name(), {}, deleted_rows);
+    matviews_.OnBaseTableDml(catalog_, table->name(), {}, deleted_rows,
+                             WithObs(ExecOptions{}));
   }
   XNFDB_RETURN_IF_ERROR(status);
   outcome->kind = Outcome::Kind::kAffected;

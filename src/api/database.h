@@ -19,6 +19,7 @@
 #include "api/governor.h"
 #include "api/watchdog.h"
 #include "matview/matview.h"
+#include "common/config.h"
 #include "common/env.h"
 #include "common/status.h"
 #include "exec/executor.h"
@@ -38,17 +39,23 @@ namespace xnfdb {
 class Database {
  public:
   Database() : Database(Env::Default()) {}
+  explicit Database(Env* env) : Database(env, Config::FromEnv()) {}
   // All of this database's durable I/O (SaveTo/LoadFrom) goes through
-  // `env`; pass a FaultInjectionEnv to exercise failure paths. The
+  // `env`; pass a FaultInjectionEnv to exercise failure paths. `config`
+  // holds every knob (common/config.h); its process-wide ones are applied
+  // to the logger, the flight recorder and the crash handler here. The
   // constructor registers the sys$ system views (storage/sysview.h) on the
   // fresh catalog.
-  explicit Database(Env* env);
+  Database(Env* env, Config config);
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
   // Dumps the collected trace to the XNFDB_TRACE path, when tracing is on.
   ~Database();
 
   Env* env() const { return env_; }
+  // The configuration this database runs with; Knobs() lists every knob's
+  // raw and resolved value.
+  const Config& config() const { return config_; }
 
   Catalog& catalog() { return catalog_; }
   const Catalog& catalog() const { return catalog_; }
@@ -218,7 +225,7 @@ class Database {
 
   // --- resource governance (api/governor.h) -------------------------------
   // Every Query/QueryXnf/SELECT execution runs under a QueryContext with
-  // limits resolved from ExecOptions (or the governor's env-derived
+  // limits resolved from ExecOptions (or the governor's configured
   // defaults) and is registered with the governor for the duration —
   // admission control, SYS$QUERIES visibility, and kill support.
   Governor& governor() { return governor_; }
@@ -275,29 +282,29 @@ class Database {
   Status RunUpdate(const ast::UpdateStatement& stmt, Outcome* outcome);
   Status RunDelete(const ast::DeleteStatement& stmt, Outcome* outcome);
 
-  // Fills unset observability sinks in copies of the caller's options.
+  // Fills unset observability sinks, and the batch size and morsel workers
+  // left at 0, in copies of the caller's options.
   CompileOptions WithObs(const CompileOptions& copts);
   ExecOptions WithObs(const ExecOptions& eopts);
 
+  const Config config_;
   Catalog catalog_;
   Env* env_;
   std::atomic<int64_t> server_calls_{0};
   int transient_failures_ = 0;
   int64_t slow_query_threshold_us_ = -1;
   obs::StatementRecordStore statements_{512};
-  bool capture_profiles_ = true;  // XNFDB_QUERY_PROFILES != 0
-  obs::Tracer tracer_{obs::Tracer::FromEnv{}};
+  obs::Tracer tracer_{!config_.trace_path.empty()};
   obs::MetricsRegistry* metrics_ = &obs::MetricsRegistry::Default();
   obs::Counter* server_calls_counter_ = metrics_->GetCounter("server.calls");
   // Executions whose worst q-error reached XNFDB_QERROR_ALERT (the series
   // behind the qerror_blowups health rule).
-  int64_t qerror_alert_ = 100;
   obs::Counter* qerror_blowups_ =
       metrics_->GetCounter("plan.qerror_blowups");
   // Declared after metrics_ (counter handles) and before governor_ (DML
   // under an admitted statement may invalidate entries).
-  MatViewStore matviews_{MatViewConfig::FromEnv(), metrics_};
-  Governor governor_{GovernorOptions::FromEnv(), metrics_};
+  MatViewStore matviews_{config_.matview, metrics_};
+  Governor governor_{config_.governor, metrics_};
   // Declared before sampler_: the sampler's on-sample callback evaluates
   // health rules, so the engine must outlive the sampler thread's join.
   obs::HealthEngine health_;

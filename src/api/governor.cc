@@ -1,24 +1,11 @@
 #include "api/governor.h"
 
 #include <chrono>
-#include <limits>
 
 #include "common/crash.h"
-#include "common/str_util.h"
 #include "obs/flight_recorder.h"
 
 namespace xnfdb {
-
-GovernorOptions GovernorOptions::FromEnv() {
-  const int64_t kMax = std::numeric_limits<int64_t>::max();
-  GovernorOptions o;
-  o.max_concurrent = ParseEnvInt("XNFDB_MAX_CONCURRENT_QUERIES", 0, 4096, 0);
-  o.default_timeout_ms = ParseEnvInt("XNFDB_QUERY_TIMEOUT_MS", 0, kMax, 0);
-  o.default_max_result_rows = ParseEnvInt("XNFDB_MAX_RESULT_ROWS", 0, kMax, 0);
-  o.default_mem_budget_bytes =
-      ParseEnvInt("XNFDB_MEM_BUDGET_BYTES", 0, kMax, 0);
-  return o;
-}
 
 Governor::Governor(GovernorOptions options, obs::MetricsRegistry* metrics)
     : options_(options),

@@ -38,31 +38,13 @@
 #include <string>
 #include <vector>
 
+#include "common/config.h"
 #include "common/status.h"
 #include "exec/query_context.h"
 #include "obs/metrics.h"
 #include "storage/sysview.h"
 
 namespace xnfdb {
-
-struct GovernorOptions {
-  // Maximum concurrently executing queries; 0 = unlimited (no admission
-  // control, queries are still registered for SYS$QUERIES / Cancel).
-  int64_t max_concurrent = 0;
-  // Waiters tolerated beyond the running capacity before new queries are
-  // rejected outright.
-  int64_t max_queue = 8;
-  // Per-query defaults applied when the caller's ExecOptions leave the
-  // corresponding knob at -1. 0 = no limit.
-  int64_t default_timeout_ms = 0;
-  int64_t default_max_result_rows = 0;
-  int64_t default_mem_budget_bytes = 0;
-
-  // Reads XNFDB_QUERY_TIMEOUT_MS, XNFDB_MAX_RESULT_ROWS,
-  // XNFDB_MEM_BUDGET_BYTES, and XNFDB_MAX_CONCURRENT_QUERIES (all via
-  // ParseEnvInt; unset or 0 = no limit).
-  static GovernorOptions FromEnv();
-};
 
 class Governor {
  public:

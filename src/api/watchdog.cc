@@ -5,17 +5,8 @@
 #include <utility>
 
 #include "common/log.h"
-#include "common/str_util.h"
 
 namespace xnfdb {
-
-WatchdogOptions WatchdogOptions::FromEnv() {
-  WatchdogOptions o;
-  o.stall_ms = ParseEnvInt("XNFDB_WATCHDOG_STALL_MS", 0, int64_t{1} << 40, 0);
-  o.poll_ms = ParseEnvInt("XNFDB_WATCHDOG_POLL_MS", 1, int64_t{1} << 40, 1000);
-  o.auto_cancel = ParseEnvBool("XNFDB_WATCHDOG_CANCEL", false);
-  return o;
-}
 
 Watchdog::Watchdog(Governor* governor, obs::MetricsRegistry* metrics,
                    WatchdogOptions options)

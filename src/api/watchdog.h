@@ -34,21 +34,6 @@
 
 namespace xnfdb {
 
-struct WatchdogOptions {
-  // A running query is stalled when its progress fingerprint is unchanged
-  // for this long. <= 0 disables the background thread (ScanOnce still
-  // works for tests / shell `.watchdog`).
-  int64_t stall_ms = 0;
-  // Scan cadence of the background thread.
-  int64_t poll_ms = 1000;
-  // Cancel stalled queries instead of only reporting them.
-  bool auto_cancel = false;
-
-  // Reads XNFDB_WATCHDOG_STALL_MS (default 0 = off), XNFDB_WATCHDOG_POLL_MS
-  // (default 1000) and XNFDB_WATCHDOG_CANCEL (default 0).
-  static WatchdogOptions FromEnv();
-};
-
 class Watchdog {
  public:
   Watchdog(Governor* governor, obs::MetricsRegistry* metrics,

@@ -12,31 +12,6 @@ namespace {
 constexpr char kMagicV1[] = "XNFCACHE 1";
 constexpr char kMagicV2[] = "XNFCACHE 2";
 
-void WriteValue(std::ostream& out, const Value& v) {
-  switch (v.type()) {
-    case DataType::kNull:
-      out << "N";
-      break;
-    case DataType::kInt:
-      out << "I " << v.AsInt();
-      break;
-    case DataType::kDouble: {
-      std::ostringstream os;
-      os.precision(17);
-      os << v.AsDouble();
-      out << "D " << os.str();
-      break;
-    }
-    case DataType::kString:
-      out << "S " << v.AsString().size() << " " << v.AsString();
-      break;
-    case DataType::kBool:
-      out << "B " << (v.AsBool() ? 1 : 0);
-      break;
-  }
-  out << "\n";
-}
-
 Result<Value> ReadValue(std::istream& in) {
   std::string tag;
   if (!(in >> tag)) return Status::IoError("unexpected end of cache file");
@@ -92,7 +67,7 @@ class CacheSerializer {
       for (size_t i = 0; i < comp->size(); ++i) {
         const CachedRow* row = comp->row(i);
         out << "ROW " << row->tid << "\n";
-        for (const Value& v : row->values) WriteValue(out, v);
+        for (const Value& v : row->values) WriteValueText(out, v);
       }
     }
   }

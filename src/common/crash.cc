@@ -307,12 +307,6 @@ bool InstallCrashHandler(const std::string& dir) {
   return true;
 }
 
-bool InstallCrashHandlerFromEnv() {
-  const char* dir = std::getenv("XNFDB_CRASH_DIR");
-  if (dir == nullptr || *dir == '\0') return false;
-  return InstallCrashHandler(dir);
-}
-
 bool CrashHandlerInstalled() {
   return g_installed.load(std::memory_order_acquire);
 }

@@ -19,11 +19,11 @@
 // designed for exactly this caller.
 //
 // Installation is explicit and idempotent: the Database constructor calls
-// InstallCrashHandlerFromEnv(), which is a no-op unless XNFDB_CRASH_DIR is
-// set — an embedded host that owns its own signal disposition is never
-// surprised. After writing the report the original disposition is restored
-// and the signal re-raised, so exit codes, core dumps, and wait status all
-// behave as if the handler had never existed.
+// InstallCrashHandler only when its Config names a crash directory
+// (XNFDB_CRASH_DIR) — an embedded host that owns its own signal
+// disposition is never surprised. After writing the report the original
+// disposition is restored and the signal re-raised, so exit codes, core
+// dumps, and wait status all behave as if the handler had never existed.
 
 #ifndef XNFDB_COMMON_CRASH_H_
 #define XNFDB_COMMON_CRASH_H_
@@ -38,10 +38,6 @@ namespace xnfdb {
 // first successful call wins and later calls return true without changes.
 // Returns false when `dir` cannot be created.
 bool InstallCrashHandler(const std::string& dir);
-
-// InstallCrashHandler(XNFDB_CRASH_DIR); false when the variable is unset
-// or empty.
-bool InstallCrashHandlerFromEnv();
 
 bool CrashHandlerInstalled();
 

@@ -1,60 +1,22 @@
 #include "common/log.h"
 
-#include <cctype>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
+#include "common/schema.h"
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 
 namespace xnfdb {
 
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-int64_t NowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
 LogLevel ParseLogLevel(const std::string& raw) {
-  std::string s;
-  s.reserve(raw.size());
-  for (char c : raw) {
-    s += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  if (s == "trace") return LogLevel::kTrace;
-  if (s == "debug") return LogLevel::kDebug;
-  if (s == "info") return LogLevel::kInfo;
-  if (s == "warn" || s == "warning") return LogLevel::kWarn;
-  if (s == "error") return LogLevel::kError;
-  if (s == "off" || s == "none") return LogLevel::kOff;
+  const std::string s = ToUpperIdent(raw);
+  if (s == "TRACE") return LogLevel::kTrace;
+  if (s == "DEBUG") return LogLevel::kDebug;
+  if (s == "INFO") return LogLevel::kInfo;
+  if (s == "WARN" || s == "WARNING") return LogLevel::kWarn;
+  if (s == "ERROR") return LogLevel::kError;
+  if (s == "OFF" || s == "NONE") return LogLevel::kOff;
   return LogLevel::kWarn;
 }
 
@@ -71,17 +33,14 @@ const char* LogLevelName(LogLevel level) {
 }
 
 Logger& Logger::Default() {
-  static Logger* logger = [] {
-    auto* l = new Logger();  // never dies: log sites may run at exit
-    if (const char* level = std::getenv("XNFDB_LOG_LEVEL")) {
-      l->set_level(ParseLogLevel(level));
-    }
-    if (const char* path = std::getenv("XNFDB_LOG")) {
-      l->file_path_ = path;
-    }
-    return l;
-  }();
+  // Never dies: log sites may run at exit.
+  static Logger* logger = new Logger();
   return *logger;
+}
+
+void Logger::set_file_path(std::string path) {
+  std::lock_guard<std::mutex> lock(mu_);
+  file_path_ = std::move(path);
 }
 
 void Logger::SetSink(Sink sink) {
@@ -116,17 +75,17 @@ void Logger::Log(LogLevel level, const std::string& channel,
   if (!Enabled(level)) return;
   std::string line;
   line.reserve(128);
-  line += "{\"ts_us\":" + std::to_string(NowUs());
+  line += "{\"ts_us\":" + std::to_string(obs::WallUs());
   line += ",\"level\":\"";
   line += LogLevelName(level);
-  line += "\",\"channel\":\"" + JsonEscape(channel) + "\"";
-  line += ",\"msg\":\"" + JsonEscape(msg) + "\"";
+  line += "\",\"channel\":\"" + obs::JsonEscape(channel) + "\"";
+  line += ",\"msg\":\"" + obs::JsonEscape(msg) + "\"";
   for (const LogField& f : fields) {
-    line += ",\"" + JsonEscape(f.key) + "\":";
+    line += ",\"" + obs::JsonEscape(f.key) + "\":";
     if (f.is_num) {
       line += std::to_string(f.num);
     } else {
-      line += "\"" + JsonEscape(f.str) + "\"";
+      line += "\"" + obs::JsonEscape(f.str) + "\"";
     }
   }
   line += "}";

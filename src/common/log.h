@@ -9,7 +9,7 @@
 //    path with trace/debug lines is free when they are off;
 //  * machine-parseable output (JSON lines) so the slow-query log and any
 //    diagnostic stream can be grepped/jq'ed without a format parser;
-//  * environment-controlled:
+//  * configured by the Database (common/config.h):
 //      XNFDB_LOG_LEVEL = trace|debug|info|warn|error|off   (default warn)
 //      XNFDB_LOG       = <path>                            (default stderr)
 //  * a test sink hook (SetSink) so tests can assert on emitted lines
@@ -64,8 +64,8 @@ struct LogField {
 
 class Logger {
  public:
-  // The process-wide logger. Level and destination are read from
-  // XNFDB_LOG_LEVEL / XNFDB_LOG on first use.
+  // The process-wide logger: warn level to stderr until a Database applies
+  // its Config's XNFDB_LOG_LEVEL / XNFDB_LOG.
   static Logger& Default();
 
   Logger() = default;
@@ -79,6 +79,8 @@ class Logger {
     level_.store(static_cast<int>(level), std::memory_order_relaxed);
   }
   bool Enabled(LogLevel level) const { return level >= this->level(); }
+  // Appends lines to `path` instead of stderr; empty restores stderr.
+  void set_file_path(std::string path);
 
   // Emits one JSON line on `channel`. No-op (one atomic load) when `level`
   // is below the configured threshold.
@@ -105,7 +107,7 @@ class Logger {
   std::atomic<int> level_{static_cast<int>(LogLevel::kWarn)};
   std::mutex mu_;          // serializes emits, coalescing state, sink swaps
   Sink sink_;              // empty => default destination
-  std::string file_path_;  // XNFDB_LOG; empty => stderr
+  std::string file_path_;  // empty => stderr
   std::string last_warn_key_;  // identity of the warn run being coalesced
   std::string pending_line_;   // newest suppressed line of the run
   int64_t suppressed_ = 0;     // lines suppressed in the current run

@@ -1,12 +1,6 @@
 #include "common/str_util.h"
 
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
-#include <mutex>
-#include <set>
-
-#include "common/log.h"
 
 namespace xnfdb {
 
@@ -69,67 +63,6 @@ bool LikeMatchAt(const std::string& text, size_t ti, const std::string& pat,
 
 bool LikeMatch(const std::string& text, const std::string& pattern) {
   return LikeMatchAt(text, 0, pattern, 0);
-}
-
-namespace {
-
-// Warns about one malformed/clamped env var only once per process.
-void WarnEnvOnce(const char* name, const std::string& raw,
-                 const std::string& what, int64_t used) {
-  static std::mutex mu;
-  static std::set<std::string>* warned = new std::set<std::string>();
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    if (!warned->insert(name).second) return;
-  }
-  Logger::Default().Log(LogLevel::kWarn, "env", what,
-                        {LogField::S("var", name), LogField::S("value", raw),
-                         LogField::N("using", used)});
-}
-
-}  // namespace
-
-int64_t ParseEnvInt(const char* name, int64_t min_value, int64_t max_value,
-                    int64_t default_value) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return default_value;
-  errno = 0;
-  char* end = nullptr;
-  long long parsed = std::strtoll(raw, &end, 10);
-  // Reject trailing garbage (allow trailing whitespace) and overflow.
-  while (end != nullptr && *end != '\0' &&
-         std::isspace(static_cast<unsigned char>(*end))) {
-    ++end;
-  }
-  if (end == raw || (end != nullptr && *end != '\0') || errno == ERANGE) {
-    WarnEnvOnce(name, raw, "unparsable integer env var ignored",
-                default_value);
-    return default_value;
-  }
-  int64_t v = static_cast<int64_t>(parsed);
-  if (v < min_value || v > max_value) {
-    int64_t clamped = v < min_value ? min_value : max_value;
-    WarnEnvOnce(name, raw, "env var out of range, clamped", clamped);
-    return clamped;
-  }
-  return v;
-}
-
-bool ParseEnvBool(const char* name, bool default_value) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return default_value;
-  std::string word = Trim(raw);
-  for (char& c : word) c = static_cast<char>(std::tolower(
-      static_cast<unsigned char>(c)));
-  if (word == "1" || word == "true" || word == "yes" || word == "on") {
-    return true;
-  }
-  if (word == "0" || word == "false" || word == "no" || word == "off") {
-    return false;
-  }
-  WarnEnvOnce(name, raw, "unparsable boolean env var ignored",
-              default_value ? 1 : 0);
-  return default_value;
 }
 
 }  // namespace xnfdb

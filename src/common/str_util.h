@@ -21,24 +21,6 @@ std::string Trim(const std::string& s);
 // SQL LIKE with '%' and '_' wildcards (case-sensitive on data).
 bool LikeMatch(const std::string& text, const std::string& pattern);
 
-// Checked environment-variable integer: reads `name` and returns its value
-// clamped to [min_value, max_value]. Unset, empty, or unparsable (trailing
-// garbage, overflow) values yield `default_value`. The first time a
-// variable is found malformed or out of range, one warning is logged on
-// the "env" channel; later calls stay silent so per-query resolution does
-// not spam the log. Every XNFDB_* tuning knob goes through here — ad-hoc
-// atoi() parses accept garbage and negative values silently.
-int64_t ParseEnvInt(const char* name, int64_t min_value, int64_t max_value,
-                    int64_t default_value);
-
-// Checked environment-variable boolean for on/off knobs. Accepts
-// 1/true/yes/on and 0/false/no/off (case-insensitive, surrounding
-// whitespace ignored). Unset or empty yields `default_value`; anything
-// else yields `default_value` with the same warn-once behaviour as
-// ParseEnvInt. Path-valued knobs (XNFDB_TRACE, XNFDB_CRASH_DIR) stay
-// string-typed and do not go through here.
-bool ParseEnvBool(const char* name, bool default_value);
-
 }  // namespace xnfdb
 
 #endif  // XNFDB_COMMON_STR_UTIL_H_

@@ -20,28 +20,21 @@
 #include <utility>
 #include <vector>
 
-#include "common/str_util.h"
+#include "common/config.h"
 #include "common/value.h"
 
 namespace xnfdb {
 
-// Default rows per batch; override per query via ExecOptions::batch_size or
-// process-wide via XNFDB_BATCH_SIZE.
-inline constexpr int kDefaultBatchSize = 1024;
-
-// Resolves a requested batch size: explicit value > 0 wins, then the
-// XNFDB_BATCH_SIZE environment variable, then kDefaultBatchSize.
+// Resolves a requested batch size: explicit value > 0 wins, else the
+// process's configured one (Config::Process()). A Database passes its own
+// Config's value, so only direct callers of the executor get here with 0.
 inline int ResolveBatchSize(int requested) {
-  if (requested > 0) return requested;
-  return static_cast<int>(
-      ParseEnvInt("XNFDB_BATCH_SIZE", 1, 1 << 20, kDefaultBatchSize));
+  return requested > 0 ? requested : Config::Process().batch_size;
 }
 
-// Resolves a requested morsel worker count: explicit value > 0 wins, then
-// the XNFDB_MORSEL_WORKERS environment variable, then 1 (serial).
+// Resolves a requested morsel worker count the same way.
 inline int ResolveMorselWorkers(int requested) {
-  if (requested > 0) return requested;
-  return static_cast<int>(ParseEnvInt("XNFDB_MORSEL_WORKERS", 1, 256, 1));
+  return requested > 0 ? requested : Config::Process().morsel_workers;
 }
 
 // Capacity of a batch that pulls from an operator estimated to produce

@@ -132,11 +132,12 @@ struct ExecOptions {
   // base-table scan split into morsels, with the serial row order.
   // Disabled in analyze mode.
   PlanOptions plan;
-  // Rows pulled per executor batch from every output's plan root. 0 =
-  // XNFDB_BATCH_SIZE env var or 1024; 1 pulls batches of one row through
-  // the same operator code. Blocking inputs (spool builds, existential
-  // groups, hash-join builds, sort and NL-join inner sides) are pulled at
-  // the default 1024 whatever this is.
+  // Rows pulled per executor batch from every output's plan root. 0 = the
+  // Database's Config (XNFDB_BATCH_SIZE, default 1024), or
+  // Config::Process() for a direct caller; 1 pulls batches of one row
+  // through the same operator code. Blocking inputs (spool builds,
+  // existential groups, hash-join builds, sort and NL-join inner sides) are
+  // pulled at the default 1024 whatever this is.
   int batch_size = 0;
   // EXPLAIN ANALYZE: instrument operators with wall-time measurement and
   // fill QueryResult::plan_texts with annotated plan trees.
@@ -154,7 +155,7 @@ struct ExecOptions {
   // materialize, so the counts can seed incremental delta maintenance.
   bool collect_dedup_counts = false;
   // Per-query resource limits, consumed by Database (api/governor.h) when
-  // it builds the query's context: -1 = use the governor's env-derived
+  // it builds the query's context: -1 = use the governor's configured
   // default, 0 = explicitly unlimited, > 0 = this limit. Ignored by
   // ExecuteGraph itself (it only honours `context`).
   int64_t timeout_ms = -1;

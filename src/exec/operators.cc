@@ -35,12 +35,6 @@ void ExecStats::PublishTo(obs::MetricsRegistry* registry) const {
   registry->GetCounter("exec.operators_created")->Increment(operators_created);
   registry->GetCounter("exec.batches_emitted")->Increment(batches_emitted);
   registry->GetCounter("exec.morsels_claimed")->Increment(morsels_claimed);
-  registry->GetCounter("exec.batches_scan")->Increment(batches_scan);
-  registry->GetCounter("exec.batches_spool")->Increment(batches_spool);
-  registry->GetCounter("exec.batches_filter")->Increment(batches_filter);
-  registry->GetCounter("exec.batches_project")->Increment(batches_project);
-  registry->GetCounter("exec.batches_join")->Increment(batches_join);
-  registry->GetCounter("exec.batches_exists")->Increment(batches_exists);
 }
 
 // --- Operator lifecycle wrappers -------------------------------------------
@@ -291,6 +285,11 @@ thread_local bool t_on_morsel_worker = false;
 
 bool OnMorselWorker() { return t_on_morsel_worker; }
 
+MorselWorkerCount& MorselWorkers() {
+  static MorselWorkerCount count;
+  return count;
+}
+
 Status DrainMorsels(const std::vector<OperatorPtr>& plans, int batch_size,
                     StatCounter* batches, const std::vector<int>& cols,
                     QueryContext* ctx, std::vector<RowStore>* buckets,
@@ -312,6 +311,10 @@ Status DrainMorsels(const std::vector<OperatorPtr>& plans, int batch_size,
   auto run = [&](size_t w) {
     const bool was_worker = t_on_morsel_worker;
     t_on_morsel_worker = true;
+    MorselWorkerCount& count = MorselWorkers();
+    const int live = ++count.live;
+    int peak = count.peak.load();
+    while (live > peak && !count.peak.compare_exchange_weak(peak, live)) {}
     const auto t0 = std::chrono::steady_clock::now();
     int64_t rows = 0;
     Tuple scratch;
@@ -330,6 +333,7 @@ Status DrainMorsels(const std::vector<OperatorPtr>& plans, int batch_size,
           return Status::Ok();
         });
     t_on_morsel_worker = was_worker;
+    --count.live;
     if (workers != nullptr) {
       obs::WorkerProfile& wp = (*workers)[w];
       wp.worker = static_cast<int64_t>(w);
@@ -392,10 +396,7 @@ Result<bool> ScanOp::NextBatchImpl(TupleBatch* out) {
     if (!out->Empty()) break;
     if (!ClaimMorsel()) break;
   }
-  if (stats_ != nullptr) {
-    if (scanned > 0) stats_->rows_scanned += scanned;
-    if (!out->Empty()) ++stats_->batches_scan;
-  }
+  if (stats_ != nullptr && scanned > 0) stats_->rows_scanned += scanned;
   return !out->Empty();
 }
 
@@ -495,7 +496,6 @@ Result<bool> SpoolReadOp::NextBatchImpl(TupleBatch* out) {
   }
   if (!out->Empty() && stats_ != nullptr) {
     stats_->spool_read_rows += static_cast<int64_t>(out->ActiveCount());
-    ++stats_->batches_spool;
   }
   return !out->Empty();
 }
@@ -505,7 +505,6 @@ Result<bool> MatViewScanOp::NextBatchImpl(TupleBatch* out) {
     out->AppendRow() = (*rows_)[pos_++];
     if (stats_ != nullptr) ++stats_->spool_read_rows;
   }
-  if (!out->Empty() && stats_ != nullptr) ++stats_->batches_spool;
   return !out->Empty();
 }
 
@@ -523,7 +522,6 @@ Result<bool> FilterOp::NextBatchImpl(TupleBatch* out) {
     if (pass) sel[kept++] = sel[i];
   }
   sel.resize(kept);
-  if (stats_ != nullptr) ++stats_->batches_filter;
   return true;
 }
 
@@ -541,7 +539,6 @@ Result<bool> ProjectOp::NextBatchImpl(TupleBatch* out) {
       row.push_back(std::move(v));
     }
   }
-  if (stats_ != nullptr) ++stats_->batches_project;
   return true;
 }
 
@@ -796,7 +793,6 @@ Result<bool> HashJoinOp::NextBatchImpl(TupleBatch* out) {
   for (size_t i = 0; i < left_batch_.ActiveCount(); ++i) {
     XNFDB_RETURN_IF_ERROR(ProbeInto(left_batch_.Active(i), out));
   }
-  if (stats_ != nullptr) ++stats_->batches_join;
   return true;
 }
 
@@ -987,7 +983,6 @@ Result<bool> ExistsFilterOp::NextBatchImpl(TupleBatch* out) {
     if (pass) sel[kept++] = sel[i];
   }
   sel.resize(kept);
-  if (stats_ != nullptr) ++stats_->batches_exists;
   return true;
 }
 

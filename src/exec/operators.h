@@ -84,13 +84,6 @@ struct ExecStats {
   StatCounter operators_created;
   StatCounter batches_emitted;    // batches delivered into output streams
   StatCounter morsels_claimed;    // scan morsels claimed by workers
-  // Per-operator-kind native batch counts (vectorization visibility).
-  StatCounter batches_scan;
-  StatCounter batches_spool;
-  StatCounter batches_filter;
-  StatCounter batches_project;
-  StatCounter batches_join;
-  StatCounter batches_exists;
 
   std::string ToString() const;
   // Adds every counter into `registry` under `exec.<counter>` (the unified
@@ -326,6 +319,14 @@ Status DrainMorsels(const std::vector<OperatorPtr>& plans, int batch_size,
 // there drains on that thread, so a query never runs more threads at once
 // than it has morsel workers.
 bool OnMorselWorker();
+
+// DrainMorsels worker bodies running in this process (the calling thread's
+// included) and the most that ever ran at once. Unlike the kernel's thread
+// count, `live` drops when a body returns, before its thread is joined.
+struct MorselWorkerCount {
+  std::atomic<int> live{0}, peak{0};
+};
+MorselWorkerCount& MorselWorkers();
 
 // --- sources ---------------------------------------------------------------
 

@@ -1,12 +1,9 @@
 #include "matview/matview.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 
-#include "common/str_util.h"
 #include "exec/query_context.h"
 #include "obs/flight_recorder.h"
 #include "obs/statement_record.h"
@@ -15,12 +12,6 @@
 namespace xnfdb {
 
 namespace {
-
-int64_t NowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 Tuple ProjectCols(const Tuple& row, const std::vector<int>& cols) {
   Tuple out;
@@ -102,19 +93,6 @@ void WalkOutput(const qgm::QueryGraph& g, int box_id, OutputRefs* r) {
 }
 
 }  // namespace
-
-MatViewConfig MatViewConfig::FromEnv() {
-  MatViewConfig c;
-  c.enabled = ParseEnvBool("XNFDB_MATVIEWS", true);
-  c.auto_calls = ParseEnvInt("XNFDB_MATVIEW_AUTO_CALLS", 1, 1 << 30, 2);
-  c.auto_min_avg_us =
-      ParseEnvInt("XNFDB_MATVIEW_AUTO_US", 0, int64_t{1} << 40, 0);
-  c.max_views = static_cast<size_t>(
-      ParseEnvInt("XNFDB_MATVIEW_MAX", 1, 1 << 20, 32));
-  c.max_rows =
-      ParseEnvInt("XNFDB_MATVIEW_MAX_ROWS", 1, int64_t{1} << 40, 1 << 20);
-  return c;
-}
 
 MatViewStore::MatViewStore(const MatViewConfig& config,
                            obs::MetricsRegistry* metrics)
@@ -227,7 +205,7 @@ Status MatViewStore::Store(uint64_t digest, const std::string& text,
   }
   e.digest = digest;
   e.text = text;
-  if (e.created_us == 0) e.created_us = NowUs();
+  if (e.created_us == 0) e.created_us = QueryContext::NowUs();
 
   // Delta-eligibility analysis over the compiled graph.
   const qgm::Box* top = graph->box(graph->top_box_id());
@@ -314,7 +292,7 @@ Status MatViewStore::Store(uint64_t digest, const std::string& text,
   e.graph = std::move(graph);
   e.data = std::move(data);
   e.fresh = true;
-  e.refreshed_us = NowUs();
+  e.refreshed_us = QueryContext::NowUs();
   if (existed) {
     ++e.full_refreshes;
     full_refreshes_->Increment();
@@ -360,7 +338,7 @@ Status MatViewStore::Pin(const std::string& name, uint64_t digest,
   e.digest = digest;
   e.text = text;
   e.pinned = true;
-  e.created_us = NowUs();
+  e.created_us = QueryContext::NowUs();
   entries_.emplace(digest, std::move(e));
   UpdateGaugesLocked();
   return Status::Ok();
@@ -382,7 +360,8 @@ bool MatViewStore::Dematerialize(const std::string& name) {
 void MatViewStore::OnBaseTableDml(const Catalog& catalog,
                                   const std::string& table,
                                   const std::vector<Tuple>& inserted,
-                                  const std::vector<Tuple>& deleted) {
+                                  const std::vector<Tuple>& deleted,
+                                  const ExecOptions& exec) {
   if (inserted.empty() && deleted.empty()) return;
   std::lock_guard<std::mutex> lock(mu_);
   if (entries_.empty()) return;
@@ -399,7 +378,8 @@ void MatViewStore::OnBaseTableDml(const Catalog& catalog,
           "name=" + e.name + " table=" + table);
       continue;
     }
-    Status s = ApplyDeltaLocked(catalog, &e, table, inserted, deleted);
+    Status s =
+        ApplyDeltaLocked(catalog, &e, table, inserted, deleted, exec);
     if (!s.ok()) {
       e.fresh = false;
       ++e.fallbacks;
@@ -415,7 +395,8 @@ void MatViewStore::OnBaseTableDml(const Catalog& catalog,
 Status MatViewStore::ApplyDeltaLocked(const Catalog& catalog, Entry* e,
                                       const std::string& table,
                                       const std::vector<Tuple>& inserted,
-                                      const std::vector<Tuple>& deleted) {
+                                      const std::vector<Tuple>& deleted,
+                                      const ExecOptions& exec) {
   auto oit = e->delta_outputs.find(table);
   if (oit == e->delta_outputs.end()) {
     return Status::Internal("matview: no delta rule for table " + table);
@@ -442,10 +423,11 @@ Status MatViewStore::ApplyDeltaLocked(const Catalog& catalog, Entry* e,
     }
     std::map<std::string, Table*> overrides{{table, &delta}};
     ExecStats stats;
-    PlanOptions popts;
+    PlanOptions popts = exec.plan;
     popts.table_overrides = &overrides;
     Planner planner(&catalog, e->graph.get(), popts, &stats);
-    const size_t batch_size = static_cast<size_t>(ResolveBatchSize(0));
+    const size_t batch_size =
+        static_cast<size_t>(ResolveBatchSize(exec.batch_size));
     for (int oi : affected) {
       const qgm::TopOutput& o = top->outputs[oi];
       XNFDB_ASSIGN_OR_RETURN(OperatorPtr op, planner.BoxIterator(o.box_id));
@@ -620,7 +602,7 @@ Status MatViewStore::ApplyDeltaLocked(const Catalog& catalog, Entry* e,
   e->data = std::make_shared<const MatViewData>(std::move(next));
   ++e->delta_applies;
   e->delta_rows += drained;
-  e->refreshed_us = NowUs();
+  e->refreshed_us = QueryContext::NowUs();
   delta_applies_->Increment();
   delta_rows_->Increment(drained);
   return Status::Ok();
@@ -733,7 +715,7 @@ Status MatViewStore::LoadRegistry(Env* env, const std::string& path) {
     e.pinned = line.substr(sp1 + 1, sp2 - sp1 - 1) == "1";
     e.name = line.substr(sp2 + 1, tab - sp2 - 1);
     e.text = line.substr(tab + 1);
-    e.created_us = NowUs();
+    e.created_us = QueryContext::NowUs();
     // Loaded entries are stale by construction: the data refreshes on the
     // shape's next execution.
     entries_.emplace(digest, std::move(e));
@@ -758,10 +740,6 @@ void MatViewStore::UpdateGaugesLocked() {
 }
 
 namespace {
-
-Schema MakeSchema(std::initializer_list<Column> columns) {
-  return Schema(std::vector<Column>(columns));
-}
 
 class MatViewsProvider : public VirtualTableProvider {
  public:

@@ -39,6 +39,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/config.h"
 #include "common/env.h"
 #include "common/status.h"
 #include "exec/executor.h"
@@ -49,23 +50,6 @@
 #include "storage/sysview.h"
 
 namespace xnfdb {
-
-// Env-derived knobs. XNFDB_MATVIEWS=0 is the kill switch; the rest bound
-// the policy (see FromEnv for names and defaults).
-struct MatViewConfig {
-  bool enabled = true;
-  // Auto-materialization: capture the result of an execution when the
-  // statement shape's call count (including this call) reaches auto_calls
-  // and its mean latency so far is at least auto_min_avg_us.
-  int64_t auto_calls = 2;        // XNFDB_MATVIEW_AUTO_CALLS
-  int64_t auto_min_avg_us = 0;   // XNFDB_MATVIEW_AUTO_US
-  size_t max_views = 32;         // XNFDB_MATVIEW_MAX
-  // Bounded materialization/refresh: results (and per-DML delta
-  // derivations) larger than this are never stored.
-  int64_t max_rows = 1 << 20;    // XNFDB_MATVIEW_MAX_ROWS
-
-  static MatViewConfig FromEnv();
-};
 
 // One stored output stream. Component streams keep rows in emission order
 // with their tids; XNF components additionally keep the content->tid map
@@ -165,10 +149,12 @@ class MatViewStore {
   // DML hook (called by Database after rows hit the base table; an UPDATE
   // passes both lists). Applies delta maintenance to every fresh entry
   // referencing `table`, or marks it stale when the shape is ineligible or
-  // the delta fails.
+  // the delta fails. The delta plans run with `exec`'s batch size and plan
+  // options.
   void OnBaseTableDml(const Catalog& catalog, const std::string& table,
                       const std::vector<Tuple>& inserted,
-                      const std::vector<Tuple>& deleted);
+                      const std::vector<Tuple>& deleted,
+                      const ExecOptions& exec);
 
   // DROP TABLE / DROP VIEW / LoadFrom invalidation.
   void InvalidateTable(const std::string& table);
@@ -209,7 +195,8 @@ class MatViewStore {
   Status ApplyDeltaLocked(const Catalog& catalog, Entry* e,
                           const std::string& table,
                           const std::vector<Tuple>& inserted,
-                          const std::vector<Tuple>& deleted);
+                          const std::vector<Tuple>& deleted,
+                          const ExecOptions& exec);
   void UpdateGaugesLocked();
 
   MatViewConfig config_;

@@ -1,7 +1,7 @@
 #include "obs/flight_recorder.h"
 
+#include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 
 #include "obs/metrics.h"
@@ -9,13 +9,13 @@
 namespace xnfdb {
 namespace obs {
 
-namespace {
-
 int64_t WallUs() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::system_clock::now().time_since_epoch())
       .count();
 }
+
+namespace {
 
 // Copies `src` into the fixed field `dst`, truncating, always NUL-padded.
 template <size_t N>
@@ -68,31 +68,35 @@ size_t AppendInt(char* buf, size_t buf_size, size_t pos, int64_t v) {
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      slots_(capacity == 0 ? 1 : capacity) {}
+FlightRecorder::FlightRecorder(size_t capacity) {
+  rings_.push_back(std::make_unique<Ring>(capacity == 0 ? 1 : capacity));
+  ring_.store(rings_.back().get(), std::memory_order_release);
+}
 
 FlightRecorder& FlightRecorder::Default() {
-  static FlightRecorder* recorder = [] {
-    // Raw env reads on purpose: obs sits below common, so ParseEnvInt /
-    // ParseEnvBool (and their warn-once diagnostics) are not linkable from
-    // here. The Database constructor re-resolves both knobs through the
-    // checked parsers and pushes the result back via set_enabled.
-    size_t capacity = kDefaultCapacity;
-    if (const char* raw = std::getenv("XNFDB_EVENT_RING")) {
-      char* end = nullptr;
-      long long v = std::strtoll(raw, &end, 10);
-      if (end != raw && *end == '\0' && v >= 16 && v <= (1 << 20)) {
-        capacity = static_cast<size_t>(v);
-      }
-    }
-    auto* r = new FlightRecorder(capacity);  // never dies: see header
-    if (const char* raw = std::getenv("XNFDB_EVENTS")) {
-      if (std::strcmp(raw, "0") == 0) r->set_enabled(false);
-    }
-    return r;
-  }();
+  static FlightRecorder* recorder =
+      new FlightRecorder(kDefaultCapacity);  // never dies: see header
   return *recorder;
+}
+
+void FlightRecorder::Resize(size_t capacity) {
+  if (capacity == 0) capacity = 1;
+  std::lock_guard<std::mutex> lock(mu_);
+  const Ring& old = *rings_.back();
+  if (old.capacity == capacity) return;
+  auto next = std::make_unique<Ring>(capacity);
+  const int64_t hi = next_seq_.load(std::memory_order_relaxed);
+  const int64_t lo = std::max<int64_t>(
+      1, hi - static_cast<int64_t>(std::min(capacity, old.capacity)) + 1);
+  for (int64_t seq = lo; seq <= hi; ++seq) {
+    const Slot& from = old.slots[static_cast<size_t>(seq) % old.capacity];
+    if (from.seq.load(std::memory_order_relaxed) != seq) continue;
+    Slot& to = next->slots[static_cast<size_t>(seq) % capacity];
+    static_cast<Payload&>(to) = from;
+    to.seq.store(seq, std::memory_order_relaxed);
+  }
+  ring_.store(next.get(), std::memory_order_release);
+  rings_.push_back(std::move(next));
 }
 
 void FlightRecorder::Record(std::string_view category,
@@ -111,9 +115,10 @@ void FlightRecorder::Record(std::string_view category,
   recorded_.fetch_add(1, std::memory_order_relaxed);
   recorded_counter_->Increment();
 
+  Ring& ring = *rings_.back();
   const int64_t last = next_seq_.load(std::memory_order_relaxed);
   if (last > 0) {
-    Slot& prev = slots_[static_cast<size_t>(last) % capacity_];
+    Slot& prev = ring.slots[static_cast<size_t>(last) % ring.capacity];
     if (prev.seq.load(std::memory_order_relaxed) == last &&
         FieldEquals(prev.category, category) &&
         FieldEquals(prev.severity, severity) &&
@@ -133,7 +138,7 @@ void FlightRecorder::Record(std::string_view category,
   }
 
   const int64_t seq = last + 1;
-  Slot& slot = slots_[static_cast<size_t>(seq) % capacity_];
+  Slot& slot = ring.slots[static_cast<size_t>(seq) % ring.capacity];
   slot.seq.store(-1, std::memory_order_release);  // retire the old event
   slot.ts_us = now_us;
   slot.repeated = 1;
@@ -149,11 +154,12 @@ std::vector<FlightRecorder::Event> FlightRecorder::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<Event> out;
   const int64_t hi = next_seq_.load(std::memory_order_relaxed);
-  int64_t lo = hi - static_cast<int64_t>(capacity_) + 1;
+  const Ring& ring = *rings_.back();
+  int64_t lo = hi - static_cast<int64_t>(ring.capacity) + 1;
   if (lo < 1) lo = 1;
   out.reserve(static_cast<size_t>(hi - lo + 1));
   for (int64_t seq = lo; seq <= hi; ++seq) {
-    const Slot& slot = slots_[static_cast<size_t>(seq) % capacity_];
+    const Slot& slot = ring.slots[static_cast<size_t>(seq) % ring.capacity];
     if (slot.seq.load(std::memory_order_acquire) != seq) continue;
     Event e;
     e.seq = seq;
@@ -172,23 +178,18 @@ size_t FlightRecorder::DumpTailUnsafe(char* buf, size_t buf_size,
                                       size_t max_events) const {
   if (buf == nullptr || buf_size == 0) return 0;
   size_t pos = 0;
+  const Ring& ring = *ring_.load(std::memory_order_acquire);
   const int64_t hi = next_seq_.load(std::memory_order_acquire);
   int64_t span = static_cast<int64_t>(
-      max_events < capacity_ ? max_events : capacity_);
+      max_events < ring.capacity ? max_events : ring.capacity);
   int64_t lo = hi - span + 1;
   if (lo < 1) lo = 1;
   for (int64_t seq = lo; seq <= hi; ++seq) {
-    const Slot& slot = slots_[static_cast<size_t>(seq) % capacity_];
+    const Slot& slot = ring.slots[static_cast<size_t>(seq) % ring.capacity];
     if (slot.seq.load(std::memory_order_acquire) != seq) continue;
     // Copy out, then re-validate: a torn read (writer overwrote the slot
     // mid-copy) fails the second check and the event is skipped.
-    Slot copy;
-    copy.ts_us = slot.ts_us;
-    copy.repeated = slot.repeated;
-    std::memcpy(copy.category, slot.category, sizeof(copy.category));
-    std::memcpy(copy.severity, slot.severity, sizeof(copy.severity));
-    std::memcpy(copy.message, slot.message, sizeof(copy.message));
-    std::memcpy(copy.detail, slot.detail, sizeof(copy.detail));
+    Payload copy = slot;
     if (slot.seq.load(std::memory_order_acquire) != seq) continue;
     copy.category[sizeof(copy.category) - 1] = '\0';
     copy.severity[sizeof(copy.severity) - 1] = '\0';

@@ -21,11 +21,9 @@
 //    `repeated` count instead of flooding the ring — a wedged retry loop
 //    leaves one event saying "xN", not N copies of itself.
 //
-// The process-wide instance (`Default()`) sizes its ring from
-// XNFDB_EVENT_RING (default 1024 events) and starts disabled when
-// XNFDB_EVENTS=0. Both are read with plain getenv here — obs sits below
-// common, so the checked ParseEnvBool/ParseEnvInt re-resolution (with its
-// warn-once behavior) happens in the Database constructor.
+// The process-wide instance (`Default()`) starts enabled with a ring of
+// kDefaultCapacity events; every Database applies its Config's XNFDB_EVENTS
+// and XNFDB_EVENT_RING to it at construction (set_enabled, Resize).
 
 #ifndef XNFDB_OBS_FLIGHT_RECORDER_H_
 #define XNFDB_OBS_FLIGHT_RECORDER_H_
@@ -33,6 +31,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -42,6 +41,9 @@ namespace xnfdb {
 namespace obs {
 
 class Counter;
+
+// Wall-clock microseconds: the clock of event and log-line timestamps.
+int64_t WallUs();
 
 class FlightRecorder {
  public:
@@ -64,9 +66,8 @@ class FlightRecorder {
 
   static constexpr size_t kDefaultCapacity = 1024;
 
-  // The process-wide recorder every subsystem feeds (ring size
-  // XNFDB_EVENT_RING; XNFDB_EVENTS=0 starts it disabled). Never destroyed:
-  // event sites may run during process teardown.
+  // The process-wide recorder every subsystem feeds. Never destroyed: event
+  // sites may run during process teardown.
   static FlightRecorder& Default();
 
   explicit FlightRecorder(size_t capacity);
@@ -97,7 +98,13 @@ class FlightRecorder {
   // handler may call it while a writer holds the mutex.
   size_t DumpTailUnsafe(char* buf, size_t buf_size, size_t max_events) const;
 
-  size_t capacity() const { return capacity_; }
+  size_t capacity() const {
+    return ring_.load(std::memory_order_acquire)->capacity;
+  }
+  // Changes the ring size, keeping the newest events. The old ring stays
+  // allocated for the recorder's lifetime, so a lock-free reader that is
+  // still walking it (DumpTailUnsafe) never reads freed memory.
+  void Resize(size_t capacity);
   // Sequence number of the newest event (0 when empty).
   int64_t last_seq() const {
     return next_seq_.load(std::memory_order_acquire);
@@ -111,12 +118,7 @@ class FlightRecorder {
   }
 
  private:
-  // One ring slot. `seq` is the publication word: 0 = never written,
-  // -1 = mid-write, otherwise the event's sequence number. Event `s` lives
-  // in slot `s % capacity`, so a reader can address any live sequence
-  // number directly and validate it against the slot's published `seq`.
-  struct Slot {
-    std::atomic<int64_t> seq{0};
+  struct Payload {  // plain data, copied whole
     int64_t ts_us = 0;
     int64_t repeated = 1;
     char category[kCategoryBytes] = {};
@@ -124,9 +126,23 @@ class FlightRecorder {
     char message[kMessageBytes] = {};
     char detail[kDetailBytes] = {};
   };
+  // One ring slot. `seq` is the publication word: 0 = never written,
+  // -1 = mid-write, otherwise the event's sequence number. Event `s` lives
+  // in slot `s % capacity`, so a reader can address any live sequence
+  // number directly and validate it against the slot's published `seq`.
+  struct Slot : Payload {
+    std::atomic<int64_t> seq{0};
+  };
 
-  const size_t capacity_;
-  std::vector<Slot> slots_;
+  // One generation of the ring.
+  struct Ring {
+    explicit Ring(size_t n) : capacity(n), slots(n) {}
+    const size_t capacity;
+    std::vector<Slot> slots;
+  };
+
+  std::vector<std::unique_ptr<Ring>> rings_;  // current last; guarded by mu_
+  std::atomic<Ring*> ring_;  // rings_.back(), for lock-free readers
   std::atomic<bool> enabled_{true};
   std::atomic<int64_t> next_seq_{0};  // newest published seq; writers hold mu_
   std::atomic<int64_t> recorded_{0};

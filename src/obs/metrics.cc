@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
 
 namespace xnfdb {
@@ -89,22 +90,6 @@ void Histogram::Reset() {
 
 namespace {
 
-// JSON string escaping for metric names (which are plain identifiers today,
-// but don't rely on it).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 std::string PromName(const std::string& name) {
   std::string out;
@@ -116,6 +101,29 @@ std::string PromName(const std::string& name) {
 }
 
 }  // namespace
+
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
 
 std::string MetricsSnapshot::ToJson() const {
   std::ostringstream out;

@@ -32,6 +32,10 @@ namespace xnfdb {
 namespace obs {
 
 // Monotonically increasing 64-bit counter.
+// Escapes `s` for use inside a JSON string literal (metrics and trace
+// exposition, log lines).
+std::string JsonEscape(const std::string& s);
+
 class Counter {
  public:
   void Increment(int64_t n = 1) {

@@ -47,7 +47,7 @@ class MetricsSampler {
   struct Options {
     // Background sampling interval; <= 0 means "manual only" (the thread,
     // if started, idles until Stop, and samples come from SampleNow).
-    int64_t interval_ms = 1000;
+    int64_t interval_ms = 0;
     // Samples retained; the oldest is evicted at capacity.
     size_t ring_capacity = 120;
   };

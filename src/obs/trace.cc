@@ -1,9 +1,10 @@
 #include "obs/trace.h"
 
-#include <cstdlib>
 #include <functional>
 #include <sstream>
 #include <thread>
+
+#include "obs/metrics.h"
 
 namespace xnfdb {
 namespace obs {
@@ -22,20 +23,6 @@ thread_local std::vector<OpenEntry> open_spans;
 uint64_t ThisThreadId() {
   return static_cast<uint64_t>(
       std::hash<std::thread::id>()(std::this_thread::get_id()));
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -88,18 +75,6 @@ void Span::End() {
   }
   tracer_->CloseSpan(std::move(record));
   tracer_ = nullptr;
-}
-
-bool Tracer::EnvEnabled() {
-  const char* v = std::getenv("XNFDB_TRACE");
-  return v != nullptr && v[0] != '\0' && std::string(v) != "0";
-}
-
-std::string Tracer::EnvDumpPath() {
-  const char* v = std::getenv("XNFDB_TRACE");
-  if (v == nullptr || v[0] == '\0' || std::string(v) == "0") return "";
-  if (std::string(v) == "1") return "xnfdb_trace.json";
-  return v;
 }
 
 int64_t Tracer::NowUs() const {

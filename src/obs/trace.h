@@ -66,21 +66,17 @@ class Span {
 class Tracer {
  public:
   // A tracer starts enabled or disabled; a disabled tracer hands out no-op
-  // spans. `Tracer(FromEnv{})` follows XNFDB_TRACE.
-  struct FromEnv {};
+  // spans.
   explicit Tracer(bool enabled = true) : enabled_(enabled) {}
-  explicit Tracer(FromEnv) : Tracer(EnvEnabled()) {}
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
   bool enabled() const { return enabled_; }
   void set_enabled(bool on) { enabled_ = on; }
 
-  // True when XNFDB_TRACE is set to anything but "" or "0".
+  // True when XNFDB_TRACE is set to anything but "" or "0" (resolved
+  // through common/config.h, which defines this).
   static bool EnvEnabled();
-  // The dump path implied by XNFDB_TRACE: its value when it names a file,
-  // "xnfdb_trace.json" when it is just a truthy flag, "" when unset.
-  static std::string EnvDumpPath();
 
   Span StartSpan(std::string name) { return Span(this, std::move(name)); }
 

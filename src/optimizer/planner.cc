@@ -46,13 +46,6 @@ bool ColumnVsLiteral(const Expr& p, const Expr** col, const Expr** lit,
          (*lit)->kind == Expr::Kind::kLiteral;
 }
 
-bool ContainsAgg(const Expr& e) {
-  if (e.kind == Expr::Kind::kAgg) return true;
-  if (e.lhs && ContainsAgg(*e.lhs)) return true;
-  if (e.rhs && ContainsAgg(*e.rhs)) return true;
-  return false;
-}
-
 // A single-empty-tuple source for quantifier-free boxes (SELECT 1).
 class OneRowOp : public Operator {
  protected:

@@ -40,7 +40,8 @@ struct PlanOptions {
   // default batch size, and callers pull the returned trees at their own.
   // Kept for callers outside src/ that size their pull batch from it.
   int batch_size = 1;
-  // Morsel workers (0 = XNFDB_MORSEL_WORKERS or 1). Above 1, a shared box
+  // Morsel workers (0 = the Database's Config, XNFDB_MORSEL_WORKERS, or
+  // Config::Process() for a direct caller; default 1). Above 1, a shared box
   // whose producer is morsel-drivable is compiled once per worker and its
   // spool builds on morsels.
   int morsel_workers = 0;

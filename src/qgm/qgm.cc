@@ -174,6 +174,11 @@ bool RefersToQuant(const Expr& e, int quant_id) {
   return false;
 }
 
+bool ContainsAgg(const Expr& e) {
+  if (e.kind == Expr::Kind::kAgg) return true;
+  return (e.lhs && ContainsAgg(*e.lhs)) || (e.rhs && ContainsAgg(*e.rhs));
+}
+
 void SplitConjuncts(ExprPtr e, std::vector<ExprPtr>* out) {
   if (e->kind == Expr::Kind::kBinary && e->op == "AND") {
     SplitConjuncts(std::move(e->lhs), out);

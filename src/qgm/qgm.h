@@ -104,6 +104,9 @@ Status RemapQuant(Expr* e, int from, int to, const std::vector<int>& column_map)
 // True if the expression references `quant_id`.
 bool RefersToQuant(const Expr& e, int quant_id);
 
+// True if the expression contains an aggregate.
+bool ContainsAgg(const Expr& e);
+
 // ---------------------------------------------------------------------------
 // Boxes and quantifiers
 // ---------------------------------------------------------------------------

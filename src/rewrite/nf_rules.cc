@@ -84,14 +84,6 @@ class ExistsToJoinRule : public RewriteRule {
     }
     return false;
   }
-
- private:
-  static bool ContainsAgg(const Expr& e) {
-    if (e.kind == Expr::Kind::kAgg) return true;
-    if (e.lhs && ContainsAgg(*e.lhs)) return true;
-    if (e.rhs && ContainsAgg(*e.rhs)) return true;
-    return false;
-  }
 };
 
 // --- SELECT merge -----------------------------------------------------------
@@ -131,7 +123,7 @@ class SelectMergeRule : public RewriteRule {
     }
     for (const HeadColumn& h : child.head) {
       if (h.expr == nullptr) return false;
-      if (ContainsAggStatic(*h.expr)) return false;
+      if (ContainsAgg(*h.expr)) return false;
     }
     // Merging a multi-consumer box would duplicate its computation —
     // exactly the common subexpression the XNF rewrite works to share.
@@ -147,13 +139,6 @@ class SelectMergeRule : public RewriteRule {
     // A consumer whose DISTINCT head would collapse differently is fine:
     // merge preserves the head expressions.
     return true;
-  }
-
-  static bool ContainsAggStatic(const Expr& e) {
-    if (e.kind == Expr::Kind::kAgg) return true;
-    if (e.lhs && ContainsAggStatic(*e.lhs)) return true;
-    if (e.rhs && ContainsAggStatic(*e.rhs)) return true;
-    return false;
   }
 
   static Status Merge(QueryGraph* graph, Box* b, size_t qi) {

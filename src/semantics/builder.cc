@@ -38,13 +38,6 @@ struct Scope {
 
 namespace {
 
-bool ContainsAgg(const Expr& e) {
-  if (e.kind == Expr::Kind::kAgg) return true;
-  if (e.lhs && ContainsAgg(*e.lhs)) return true;
-  if (e.rhs && ContainsAgg(*e.rhs)) return true;
-  return false;
-}
-
 // Splits an AST predicate into its top-level conjuncts.
 void SplitAstConjuncts(const ast::Expr* e,
                        std::vector<const ast::Expr*>* out) {

@@ -12,11 +12,11 @@
 
 namespace xnfdb {
 
-namespace {
-
 Schema MakeSchema(std::initializer_list<Column> columns) {
   return Schema(std::vector<Column>(columns));
 }
+
+namespace {
 
 // SYS$METRICS: one row per counter/gauge in the registry.
 class MetricsProvider : public VirtualTableProvider {

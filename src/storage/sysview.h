@@ -70,6 +70,7 @@
 #ifndef XNFDB_STORAGE_SYSVIEW_H_
 #define XNFDB_STORAGE_SYSVIEW_H_
 
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -106,6 +107,9 @@ class VirtualTableProvider {
   // Planner cardinality hint (virtual tables carry no column statistics).
   virtual double EstimatedRows() const { return 64.0; }
 };
+
+// A virtual table's schema from its column list.
+Schema MakeSchema(std::initializer_list<Column> columns);
 
 // Registers the built-in sys$ views against `catalog`. `metrics` and
 // `statements` must outlive the catalog; `catalog` itself backs SYS$TABLES.

@@ -1,23 +1,12 @@
 #include "xnf/compiler.h"
 
-#include <chrono>
-
+#include "exec/query_context.h"
 #include "obs/phase.h"
 #include "parser/fingerprint.h"
 #include "parser/parser.h"
 #include "semantics/builder.h"
 
 namespace xnfdb {
-
-namespace {
-
-int64_t NowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 Result<CompiledQuery> CompileSelect(const Catalog& catalog,
                                     const ast::SelectStmt& select,
@@ -71,9 +60,9 @@ Result<CompiledQuery> CompileXnf(const Catalog& catalog,
     xnf_event.pass = 0;
     xnf_event.fired = true;
     xnf_event.boxes_before = static_cast<int>(LiveBoxCount(*out.graph));
-    const int64_t t0 = NowUs();
+    const int64_t t0 = QueryContext::NowUs();
     XNFDB_RETURN_IF_ERROR(XnfSemanticRewrite(out.graph.get(), options.xnf));
-    xnf_event.wall_us = NowUs() - t0;
+    xnf_event.wall_us = QueryContext::NowUs() - t0;
     xnf_event.boxes_after = static_cast<int>(LiveBoxCount(*out.graph));
   }
   if (options.metrics != nullptr) {

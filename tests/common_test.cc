@@ -185,68 +185,5 @@ TEST(StrUtilTest, IdentCaseFolding) {
   EXPECT_EQ(ToUpperIdent("xDept"), "XDEPT");
 }
 
-TEST(ParseEnvIntTest, UnsetYieldsDefault) {
-  unsetenv("XNFDB_TEST_KNOB");
-  EXPECT_EQ(ParseEnvInt("XNFDB_TEST_KNOB", 0, 100, 42), 42);
-}
-
-TEST(ParseEnvIntTest, ValidValueIsParsed) {
-  setenv("XNFDB_TEST_KNOB", "17", 1);
-  EXPECT_EQ(ParseEnvInt("XNFDB_TEST_KNOB", 0, 100, 42), 17);
-  setenv("XNFDB_TEST_KNOB", "  23  ", 1);  // surrounding whitespace is fine
-  EXPECT_EQ(ParseEnvInt("XNFDB_TEST_KNOB", 0, 100, 42), 23);
-  unsetenv("XNFDB_TEST_KNOB");
-}
-
-TEST(ParseEnvIntTest, OutOfRangeValuesAreClamped) {
-  setenv("XNFDB_TEST_KNOB", "1000", 1);
-  EXPECT_EQ(ParseEnvInt("XNFDB_TEST_KNOB", 0, 100, 42), 100);
-  setenv("XNFDB_TEST_KNOB", "-5", 1);
-  EXPECT_EQ(ParseEnvInt("XNFDB_TEST_KNOB", 1, 100, 42), 1);
-  unsetenv("XNFDB_TEST_KNOB");
-}
-
-TEST(ParseEnvIntTest, MalformedValuesYieldDefault) {
-  for (const char* bad : {"", "abc", "12abc", "1.5", "0x10"}) {
-    setenv("XNFDB_TEST_KNOB", bad, 1);
-    EXPECT_EQ(ParseEnvInt("XNFDB_TEST_KNOB", 0, 100, 42), 42)
-        << "value: '" << bad << "'";
-  }
-  // Overflow beyond int64 is malformed, not clamped.
-  setenv("XNFDB_TEST_KNOB", "99999999999999999999999", 1);
-  EXPECT_EQ(ParseEnvInt("XNFDB_TEST_KNOB", 0, 100, 42), 42);
-  unsetenv("XNFDB_TEST_KNOB");
-}
-
-TEST(ParseEnvBoolTest, UnsetAndEmptyYieldDefault) {
-  unsetenv("XNFDB_TEST_FLAG");
-  EXPECT_TRUE(ParseEnvBool("XNFDB_TEST_FLAG", true));
-  EXPECT_FALSE(ParseEnvBool("XNFDB_TEST_FLAG", false));
-  setenv("XNFDB_TEST_FLAG", "", 1);
-  EXPECT_TRUE(ParseEnvBool("XNFDB_TEST_FLAG", true));
-  unsetenv("XNFDB_TEST_FLAG");
-}
-
-TEST(ParseEnvBoolTest, RecognizedSpellings) {
-  for (const char* yes : {"1", "true", "TRUE", "Yes", "on", " ON "}) {
-    setenv("XNFDB_TEST_FLAG", yes, 1);
-    EXPECT_TRUE(ParseEnvBool("XNFDB_TEST_FLAG", false)) << "value: " << yes;
-  }
-  for (const char* no : {"0", "false", "FALSE", "No", "off", " off "}) {
-    setenv("XNFDB_TEST_FLAG", no, 1);
-    EXPECT_FALSE(ParseEnvBool("XNFDB_TEST_FLAG", true)) << "value: " << no;
-  }
-  unsetenv("XNFDB_TEST_FLAG");
-}
-
-TEST(ParseEnvBoolTest, UnparsableValuesYieldDefault) {
-  for (const char* bad : {"2", "maybe", "enable", "tru"}) {
-    setenv("XNFDB_TEST_FLAG", bad, 1);
-    EXPECT_TRUE(ParseEnvBool("XNFDB_TEST_FLAG", true)) << "value: " << bad;
-    EXPECT_FALSE(ParseEnvBool("XNFDB_TEST_FLAG", false)) << "value: " << bad;
-  }
-  unsetenv("XNFDB_TEST_FLAG");
-}
-
 }  // namespace
 }  // namespace xnfdb

@@ -255,8 +255,30 @@ TEST(DiagnosticBundleTest, BundleIsACompleteSetOfCheckedFiles) {
   };
   EXPECT_EQ(lines(env[0].payload), env[0].records);
   EXPECT_EQ(env[1].name, "RESOLVED");
-  EXPECT_NE(env[1].payload.find("events_enabled="), std::string::npos);
   EXPECT_EQ(lines(env[1].payload), env[1].records);
+  // Both sections list the config table's knobs in table order, each with
+  // its raw and its resolved value.
+  auto entries = [](const std::string& text) {
+    std::vector<std::pair<std::string, std::string>> out;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) {
+      const size_t eq = line.find('=');
+      out.emplace_back(line.substr(0, eq),
+                       eq == std::string::npos ? "" : line.substr(eq + 1));
+    }
+    return out;
+  };
+  const std::vector<Config::Knob> knobs = db.config().Knobs();
+  const auto raw = entries(env[0].payload);
+  const auto resolved = entries(env[1].payload);
+  ASSERT_EQ(raw.size(), knobs.size());
+  ASSERT_EQ(resolved.size(), knobs.size());
+  for (size_t i = 0; i < knobs.size(); ++i) {
+    EXPECT_EQ(raw[i].first, knobs[i].name);
+    EXPECT_EQ(raw[i].second, knobs[i].raw) << knobs[i].name;
+    EXPECT_EQ(resolved[i].first, knobs[i].name);
+    EXPECT_EQ(resolved[i].second, knobs[i].resolved) << knobs[i].name;
+  }
 
   std::vector<FileSection> manifest = ReadDiagFile(dir + "/MANIFEST.diag");
   ASSERT_EQ(manifest.size(), 1u);

@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -35,13 +34,13 @@ std::string GoldenPath() {
          "/golden/extraction_streams.txt";
 }
 
-struct Config {
+struct ExecKnobs {
   const char* name;
   int batch_size;
   int morsel_workers;
 };
 
-const Config kConfigs[] = {
+const ExecKnobs kConfigs[] = {
     {"batch=1", 1, 1},
     {"batch=7", 7, 1},
     {"batch=default", 0, 1},
@@ -78,7 +77,7 @@ std::string RenderStream(const QueryResult& r) {
 std::string RenderCase(Database* db, const std::string& title,
                        const std::string& sql) {
   std::string first;
-  for (const Config& c : kConfigs) {
+  for (const ExecKnobs& c : kConfigs) {
     SCOPED_TRACE(title + " @ " + c.name);
     ExecOptions eo;
     eo.batch_size = c.batch_size;
@@ -137,14 +136,12 @@ const char* kBomQuery = R"sql(
 )sql";
 
 TEST(ExtractionStreamsGoldenTest, StreamsMatchGoldenFileUnderEveryKnob) {
-  // Explicit ExecOptions override every execution knob; matviews are off so
-  // every run executes instead of replaying a stored stream.
-  for (const char* knob : {"XNFDB_BATCH_SIZE", "XNFDB_MORSEL_WORKERS"}) {
-    ::unsetenv(knob);
-  }
+  // Explicit ExecOptions override every execution knob, and the databases
+  // take the default Config, so no environment knob reaches them; matviews
+  // are off so every run executes instead of replaying a stored stream.
   std::string actual;
   {
-    Database db;
+    Database db(Env::Default(), Config{});
     db.matviews().set_enabled(false);
     ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());
     LoadJoinTables(&db);
@@ -171,7 +168,7 @@ TEST(ExtractionStreamsGoldenTest, StreamsMatchGoldenFileUnderEveryKnob) {
     actual += RenderCase(&db, "recursive CO (fixpoint)", kBomQuery);
   }
   {
-    Database db;
+    Database db(Env::Default(), Config{});
     db.matviews().set_enabled(false);
     bench::DeptDbParams params;
     params.departments = 8;

@@ -157,6 +157,51 @@ TEST(FlightRecorderTest, ConcurrentWritersKeepTheRingConsistent) {
   EXPECT_EQ(events.back().seq, rec.last_seq());
 }
 
+// Resizing keeps the newest events that fit, with their sequence numbers,
+// and recording carries on from there.
+TEST(FlightRecorderTest, ResizeKeepsTheNewestEvents) {
+  FlightRecorder rec(4);
+  for (int i = 1; i <= 6; ++i) {
+    rec.Record("t", "info", "e" + std::to_string(i));
+  }
+  rec.Resize(8);
+  EXPECT_EQ(rec.capacity(), 8u);
+  std::vector<FlightRecorder::Event> events = rec.Snapshot();
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events.front().seq, 3);
+  EXPECT_EQ(events.front().message, "e3");
+  EXPECT_EQ(events.back().message, "e6");
+  rec.Record("t", "info", "e7");
+  EXPECT_EQ(rec.Snapshot().size(), 5u);
+
+  rec.Resize(2);
+  events = rec.Snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].message, "e6");
+  EXPECT_EQ(events[1].message, "e7");
+  EXPECT_EQ(events[1].seq, rec.last_seq());
+  char buf[256];
+  rec.DumpTailUnsafe(buf, sizeof(buf), 16);
+  EXPECT_NE(std::strstr(buf, "e7"), nullptr) << buf;
+  EXPECT_EQ(std::strstr(buf, "e5"), nullptr) << buf;
+}
+
+TEST(FlightRecorderTest, ResizeUnderConcurrentWritersStaysConsistent) {
+  FlightRecorder rec(16);
+  std::thread writer([&rec] {
+    for (int i = 0; i < 2000; ++i) rec.Record("w", "info", std::to_string(i));
+  });
+  for (int i = 0; i < 50; ++i) rec.Resize(i % 2 == 0 ? 64 : 16);
+  writer.join();
+  std::vector<FlightRecorder::Event> events = rec.Snapshot();
+  ASSERT_FALSE(events.empty());
+  for (size_t i = 1; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].seq, events[i - 1].seq + 1);
+  }
+  EXPECT_EQ(events.back().seq, rec.last_seq());
+  EXPECT_EQ(events.back().message, "1999");
+}
+
 // --- the logger feed ------------------------------------------------------
 
 class ScopedLogCapture {

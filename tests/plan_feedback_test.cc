@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -375,9 +374,9 @@ TEST(PlanFeedbackTest, StoreIsBoundedAndEvictsOldestPlan) {
 TEST(PlanFeedbackTest, EnvKnobDisablesCapture) {
   // One capture switch: XNFDB_QUERY_PROFILES=0 also turns off the rewrite
   // trace, cardinality feedback and plan history.
-  ::setenv("XNFDB_QUERY_PROFILES", "0", 1);
-  Database db;
-  ::unsetenv("XNFDB_QUERY_PROFILES");
+  Config config;
+  config.query_profiles = false;  // XNFDB_QUERY_PROFILES=0
+  Database db(Env::Default(), config);
   ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());
   Result<QueryResult> r = db.Query("SELECT ENO FROM EMP");
   ASSERT_TRUE(r.ok());

@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -330,9 +329,9 @@ TEST(QueryProfileTest, SysStatementsRollsUpSelfTimes) {
 }
 
 TEST(QueryProfileTest, EnvKnobDisablesCapture) {
-  ::setenv("XNFDB_QUERY_PROFILES", "0", 1);
-  Database db;
-  ::unsetenv("XNFDB_QUERY_PROFILES");
+  Config config;
+  config.query_profiles = false;  // XNFDB_QUERY_PROFILES=0
+  Database db(Env::Default(), config);
   ASSERT_TRUE(testing_util::LoadPaperDb(&db).ok());
   ASSERT_TRUE(db.Execute("SELECT * FROM EMP").ok());
   // The statement's totals still land; nothing captured beyond them.

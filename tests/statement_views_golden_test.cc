@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -47,13 +46,10 @@ std::string Render(Database* db, const std::string& title,
 }
 
 TEST(StatementViewsGoldenTest, FixedScriptMatchesGoldenFile) {
-  // Knobs that change operator row/loop splits or switch capture off are
-  // reset to their defaults; matviews are off so every run executes.
-  for (const char* knob : {"XNFDB_BATCH_SIZE", "XNFDB_MORSEL_WORKERS",
-                           "XNFDB_QUERY_PROFILES"}) {
-    ::unsetenv(knob);
-  }
-  Database db;
+  // The default Config: no environment knob (batch size, morsel workers,
+  // capture switch) reaches the database; matviews are off so every run
+  // executes.
+  Database db(Env::Default(), Config{});
   db.matviews().set_enabled(false);
 
   // DDL + DML.
